@@ -85,7 +85,6 @@ HOT_ROOT_SUFFIXES = (
     "Collector.observe",
     "MetricRegistry._get_or_create",
     "Histogram.observe",
-    "P2Quantile.add",
     "DeterminismSanitizer._record",
     "VehicleTraceHash.record_send",
     "VehicleTraceHash.record_receive",

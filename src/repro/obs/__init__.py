@@ -4,10 +4,11 @@ Three pieces, all on the sim clock (vdaplint-clean: no wall clock, no
 global RNG, byte-stable exports):
 
 * **Metrics** (:mod:`repro.obs.metrics`) -- a label-aware registry of
-  :class:`Counter` / :class:`Gauge` / :class:`Histogram` series (fixed
-  buckets + P-squared streaming quantiles) with snapshot/diff/merge and
-  stable JSON export.  :class:`Summary` and :class:`Timeline` live
-  here.
+  :class:`Counter` / :class:`Gauge` / :class:`Histogram` series with
+  snapshot/merge and stable JSON export.  A histogram is one
+  relative-error log-bucket sketch (DDSketch): p50/p95/p99 within 1% and
+  exact under merge, so a fleet's merged quantiles equal one process's.
+  :class:`Summary` and :class:`Timeline` live here.
 * **Tracing** (:mod:`repro.obs.trace`) -- a span tracer stamping sim-time
   spans (context-manager, decorator, and async-process flavours) and
   exporting Chrome ``trace_event`` JSON viewable in Perfetto.
@@ -22,15 +23,12 @@ path: declared columns, ``to_text()`` for the committed tables,
 """
 
 from .metrics import (
-    DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricRegistry,
-    P2Quantile,
     Summary,
     Timeline,
-    diff_snapshots,
     merge_many,
     merge_snapshots,
     mergeable_view,
@@ -43,19 +41,16 @@ __all__ = [
     "Collector",
     "Column",
     "Counter",
-    "DEFAULT_BUCKETS",
     "Gauge",
     "Histogram",
     "MetricRegistry",
     "NULL_RECORDER",
-    "P2Quantile",
     "Recorder",
     "Report",
     "Span",
     "SpanTracer",
     "Summary",
     "Timeline",
-    "diff_snapshots",
     "merge_many",
     "merge_snapshots",
     "mergeable_view",

@@ -1,13 +1,13 @@
 """Metric primitives and the registry: counters, gauges, histograms.
 
 Everything here is deterministic by construction: no wall clock, no RNG,
-and every export path (snapshot, diff, merge, JSON) iterates metrics in
-sorted key order so two identical-seed runs serialize byte-identically.
+and every export path (snapshot, merge, JSON) iterates metrics in sorted
+key order so two identical-seed runs serialize byte-identically.
 
 The registry is label-aware -- ``registry.counter("net.packets",
 link="lte")`` and ``registry.counter("net.packets", link="dsrc")`` are
-distinct series -- and snapshots are plain nested dicts, so they diff and
-merge with ordinary dictionary code (and round-trip through JSON).
+distinct series -- and snapshots are plain nested dicts, so they merge
+with ordinary dictionary code (and round-trip through JSON).
 
 :class:`Summary` and :class:`Timeline` (formerly ``repro.metrics``,
 now fully migrated here) live here too.
@@ -16,32 +16,52 @@ now fully migrated here) live here too.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "ALPHA",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "P2Quantile",
     "Summary",
     "Timeline",
-    "DEFAULT_BUCKETS",
-    "diff_snapshots",
     "merge_snapshots",
     "merge_many",
     "mergeable_view",
 ]
 
-#: Default histogram bucket upper bounds: a geometric ladder that covers
-#: microseconds-to-minutes latencies in seconds (the platform's native unit).
-DEFAULT_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 60.0, 120.0, 300.0,
+#: Relative accuracy of every histogram quantile (DDSketch's alpha).
+ALPHA = 0.01
+_GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
+
+
+def _edge_ladder() -> tuple[float, ...]:
+    """Geometric edges ``1e-9 * gamma**k`` up to 1e9, by repeated
+    multiplication (plain IEEE arithmetic, identical on every host)."""
+    edges = [1e-9]
+    while edges[-1] < 1e9:
+        edges.append(edges[-1] * _GAMMA)
+    return tuple(edges)
+
+
+#: Inclusive upper bucket edges shared by every histogram.  Bucket ``i``
+#: holds ``(_EDGES[i-1], _EDGES[i]]``; bucket 0 takes everything at or
+#: below 1e-9 (zero queue depths, float-noise negatives) and bucket
+#: ``len(_EDGES)`` everything above the top edge (overflow).
+_EDGES = _edge_ladder()
+_EDGES_ARR = np.asarray(_EDGES, dtype=float)
+#: Per-bucket quantile representative, clamped to [min, max] on use:
+#: ``2 * edge / (gamma + 1)`` is within ALPHA of every value in its
+#: bucket; bucket 0 reads as zero and the overflow bucket as the max.
+_REPRESENTATIVES = (
+    (0.0,) + tuple(2.0 * edge / (_GAMMA + 1.0) for edge in _EDGES[1:]) + (float("inf"),)
 )
+#: Snapshot key and quantile of every tracked histogram percentile.
+TRACKED_QUANTILES = (("p50", 0.5), ("p95", 0.95), ("p99", 0.99))
 
 
 def _label_suffix(labels: tuple[tuple[str, str], ...]) -> str:
@@ -106,167 +126,87 @@ class Gauge:
         }
 
 
-class P2Quantile:
-    """Streaming quantile estimator (Jain & Chlamtac's P-squared algorithm).
+def _quantiles(buckets, count: int, minimum: float, maximum: float) -> dict:
+    """p50/p95/p99 of a sketch, from its snapshot fields alone.
 
-    Tracks one quantile in O(1) memory without storing samples: five
-    markers whose heights are nudged toward the target positions with a
-    piecewise-parabolic fit.  Exact while fewer than five samples have
-    arrived.  Entirely deterministic: same sample sequence, same estimate.
+    ``buckets`` is the sorted ``[[index, count], ...]`` snapshot list.  The
+    quantile ``q`` is the representative of the bucket holding the sample
+    at rank ``floor(q * (count - 1))``, clamped to ``[minimum, maximum]``.
+    Live snapshots, merges and the mergeable view all read quantiles
+    here, so a merged quantile is exactly what one registry would report.
     """
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._heights: list[float] = []
-        self._positions: list[float] = []
-        self._desired: list[float] = []
-        self._increments: list[float] = []
-        self.count = 0
-
-    def add(self, x: float) -> None:
-        x = float(x)
-        self.count += 1
-        if self.count <= 5:
-            insort(self._heights, x)
-            if self.count == 5:
-                q = self.q
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-                self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-            return
-        h, pos = self._heights, self._positions
-        # Find the cell the sample falls into and stretch the outer markers.
-        if x < h[0]:
-            h[0] = x
-            cell = 0
-        elif x >= h[4]:
-            h[4] = x
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and x >= h[cell + 1]:
-                cell += 1
-        desired, increments = self._desired, self._increments
-        for i in range(cell + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            desired[i] += increments[i]
-        # Nudge the three interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            delta = desired[i] - pos[i]
-            if (delta >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                delta <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:  # parabolic estimate escaped the bracket: go linear
-                    j = i + int(step)
-                    h[i] += step * (h[j] - h[i]) / (pos[j] - pos[i])
-                pos[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + step / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + step) * (h[i + 1] - h[i]) / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - step) * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
-        )
-
-    @property
-    def value(self) -> float:
-        """Current estimate (exact below five samples; 0.0 when empty)."""
-        if not self._heights:
-            return 0.0
-        if self.count <= 5:
-            rank = self.q * (len(self._heights) - 1)
-            lo = int(rank)
-            hi = min(lo + 1, len(self._heights) - 1)
-            return self._heights[lo] + (rank - lo) * (
-                self._heights[hi] - self._heights[lo]
-            )
-        return self._heights[2]
-
-
-#: Quantiles every histogram tracks with a P-squared estimator.
-TRACKED_QUANTILES = (0.5, 0.95, 0.99)
+    if not count:
+        return {key: 0.0 for key, _ in TRACKED_QUANTILES}
+    out = {}
+    pairs = iter(buckets)
+    index, seen = 0, 0
+    for key, q in TRACKED_QUANTILES:
+        rank = int(q * (count - 1))
+        while seen <= rank:
+            index, n = next(pairs)
+            seen += n
+        out[key] = min(max(_REPRESENTATIVES[index], minimum), maximum)
+    return out
 
 
 @dataclass
 class Histogram:
-    """Fixed-bucket distribution with streaming quantile estimators.
+    """Relative-error log-bucket sketch (DDSketch: Masson, Rim & Lee,
+    VLDB 2019).
 
-    ``bounds`` are inclusive upper edges; one extra overflow bucket counts
-    samples above the last bound.  Alongside the buckets, three P-squared
-    estimators track p50/p95/p99 without storing samples.
+    Exact count/sum/min/max plus a sparse ``{bucket index: count}`` map
+    over the shared :data:`_EDGES` ladder.  Every tracked quantile is
+    within :data:`ALPHA` (relative) of the true order statistic, and two
+    sketches merge by adding bucket counts.
     """
 
     name: str
     labels: tuple[tuple[str, str], ...] = ()
-    bounds: tuple[float, ...] = DEFAULT_BUCKETS
-    bucket_counts: list[int] = field(default_factory=list)
+    buckets: dict[int, int] = field(default_factory=dict)
     count: int = 0
     total: float = 0.0
     minimum: float = float("inf")
     maximum: float = float("-inf")
 
-    def __post_init__(self):
-        if list(self.bounds) != sorted(self.bounds):
-            raise ValueError("histogram bounds must be sorted ascending")
-        if not self.bucket_counts:
-            self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self._bounds_arr = np.asarray(self.bounds, dtype=float)
-        self._quantiles = {q: P2Quantile(q) for q in TRACKED_QUANTILES}
-        self._estimators = tuple(self._quantiles.values())
-
     def observe(self, value: float) -> None:
         value = float(value)
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
+        index = bisect_left(_EDGES, value)
+        buckets = self.buckets
+        buckets[index] = buckets.get(index, 0) + 1
         self.count += 1
         self.total += value
         if value < self.minimum:
             self.minimum = value
         if value > self.maximum:
             self.maximum = value
-        for estimator in self._estimators:
-            estimator.add(value)
 
     def observe_many(self, values) -> None:
         """Feed a batch of samples; exactly equivalent to n observes.
 
-        Bucket counting is vectorized (``searchsorted`` matches
-        ``bisect_left`` element-for-element); the running sum, min/max,
-        and the P-squared estimators consume the samples sequentially in
-        order, so every derived statistic -- including the
-        order-sensitive quantile estimates and the float ``sum`` -- is
-        bit-identical to calling :meth:`observe` per sample.
+        Bucket indexing is vectorized (``searchsorted`` matches
+        ``bisect_left`` element-for-element); the running sum and min/max
+        take the samples in order, so the float ``sum`` is bit-identical
+        to calling :meth:`observe` per sample.
         """
         arr = np.asarray(values, dtype=float)
         if arr.size == 0:
             return
-        counts = np.bincount(
-            np.searchsorted(self._bounds_arr, arr, side="left"),
-            minlength=len(self.bucket_counts),
+        indices, counts = np.unique(
+            np.searchsorted(_EDGES_ARR, arr, side="left"), return_counts=True
         )
-        buckets = self.bucket_counts
-        for i, n in enumerate(counts.tolist()):
-            if n:
-                buckets[i] += n
+        buckets = self.buckets
+        for index, n in zip(indices.tolist(), counts.tolist()):
+            buckets[index] = buckets.get(index, 0) + n
         self.count += arr.size
         total = self.total
         minimum = self.minimum
         maximum = self.maximum
-        estimators = self._estimators
         for value in arr.tolist():
             total += value
             if value < minimum:
                 minimum = value
             if value > maximum:
                 maximum = value
-            for estimator in estimators:
-                estimator.add(value)
         self.total = total
         self.minimum = minimum
         self.maximum = maximum
@@ -274,31 +214,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Streaming estimate for tracked quantiles, bucket interpolation else."""
-        if q in self._quantiles:
-            return self._quantiles[q].value
-        return self.quantile_from_buckets(q)
-
-    def quantile_from_buckets(self, q: float) -> float:
-        """Quantile by linear interpolation inside the owning bucket."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        cumulative = 0
-        for i, bucket_count in enumerate(self.bucket_counts):
-            if cumulative + bucket_count >= rank and bucket_count:
-                lower = self.minimum if i == 0 else self.bounds[i - 1]
-                upper = self.maximum if i >= len(self.bounds) else min(
-                    self.bounds[i], self.maximum
-                )
-                fraction = (rank - cumulative) / bucket_count
-                return lower + fraction * max(0.0, upper - lower)
-            cumulative += bucket_count
-        return self.maximum
 
     @property
     def key(self) -> str:
@@ -311,11 +226,9 @@ class Histogram:
             "min": self.minimum if self.count else 0.0,
             "max": self.maximum if self.count else 0.0,
             "mean": self.mean,
-            "buckets": list(self.bucket_counts),
-            "bounds": list(self.bounds),
+            "buckets": [[i, n] for i, n in sorted(self.buckets.items())],
         }
-        for q in TRACKED_QUANTILES:
-            snap[f"p{int(q * 100)}"] = self.quantile(q)
+        snap.update(_quantiles(snap["buckets"], self.count, snap["min"], snap["max"]))
         return snap
 
 
@@ -340,11 +253,11 @@ class MetricRegistry:
             return ((str(k), str(v)),)
         return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
-    def _get_or_create(self, kind, name: str, labels: dict, **kwargs):
+    def _get_or_create(self, kind, name: str, labels: dict):
         key = (name, self._labels_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = kind(name=name, labels=key[1], **kwargs)
+            metric = kind(name=name, labels=key[1])
             self._metrics[key] = metric
         elif not isinstance(metric, kind):
             raise TypeError(
@@ -361,16 +274,8 @@ class MetricRegistry:
         """The gauge series for ``name`` + ``labels``."""
         return self._get_or_create(Gauge, name, labels)
 
-    def histogram(
-        self, name: str, bounds: tuple[float, ...] | None = None, **labels
-    ) -> Histogram:
-        """The histogram series for ``name`` + ``labels``.
-
-        ``bounds`` only applies on first creation; later calls reuse the
-        existing series whatever its bucket layout.
-        """
-        if bounds is not None:
-            return self._get_or_create(Histogram, name, labels, bounds=tuple(bounds))
+    def histogram(self, name: str, **labels) -> Histogram:
+        """The histogram series for ``name`` + ``labels``."""
         return self._get_or_create(Histogram, name, labels)
 
     def __len__(self) -> int:
@@ -381,7 +286,7 @@ class MetricRegistry:
         return [self._metrics[k] for k in sorted(self._metrics)]
 
     def snapshot(self) -> dict:
-        """Plain-dict view of every series, sorted by key: diffable, mergeable,
+        """Plain-dict view of every series, sorted by key: mergeable,
         JSON-serializable, and stable across identical runs."""
         out: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
         for metric in self.series():
@@ -398,37 +303,12 @@ class MetricRegistry:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
 
-def diff_snapshots(later: dict, earlier: dict) -> dict:
-    """What happened between two snapshots of the same registry.
-
-    Counters subtract; histogram counts/sums/buckets subtract (quantile
-    estimates are point-in-time and carried from ``later``); gauges are
-    spot values, so the later reading wins unchanged.
-    """
-    out: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-    for key, value in later.get("counters", {}).items():
-        out["counters"][key] = value - earlier.get("counters", {}).get(key, 0.0)
-    out["gauges"] = dict(later.get("gauges", {}))
-    for key, snap in later.get("histograms", {}).items():
-        before = earlier.get("histograms", {}).get(key)
-        merged = dict(snap)
-        if before is not None:
-            merged["count"] = snap["count"] - before["count"]
-            merged["sum"] = snap["sum"] - before["sum"]
-            merged["buckets"] = [
-                a - b for a, b in zip(snap["buckets"], before["buckets"])
-            ]
-        out["histograms"][key] = merged
-    return out
-
-
 def merge_snapshots(a: dict, b: dict) -> dict:
     """Combine snapshots from two runs/registries into one aggregate.
 
     Counters and histogram buckets/counts/sums add; gauges combine min/max
-    and keep ``b``'s last reading; merged histogram quantiles are
-    re-estimated from the combined buckets (the streaming estimators are
-    not mergeable).
+    and keep ``b``'s last reading; merged histogram quantiles are read
+    from the combined buckets, so they equal a single registry's exactly.
     """
     out: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
     for key in sorted(set(a.get("counters", {})) | set(b.get("counters", {}))):
@@ -453,25 +333,19 @@ def merge_snapshots(a: dict, b: dict) -> dict:
         if ha is None or hb is None:
             out["histograms"][key] = dict(hb or ha)
             continue
-        if ha["bounds"] != hb["bounds"]:
-            raise ValueError(f"cannot merge histogram {key!r}: bucket layouts differ")
+        combined = dict(ha["buckets"])
+        for index, n in hb["buckets"]:
+            combined[index] = combined.get(index, 0) + n
         count = ha["count"] + hb["count"]
         merged = {
             "count": count,
             "sum": ha["sum"] + hb["sum"],
             "min": min(ha["min"], hb["min"]) if ha["count"] and hb["count"] else (ha if ha["count"] else hb)["min"],
             "max": max(ha["max"], hb["max"]) if ha["count"] and hb["count"] else (ha if ha["count"] else hb)["max"],
-            "buckets": [x + y for x, y in zip(ha["buckets"], hb["buckets"])],
-            "bounds": list(ha["bounds"]),
+            "buckets": [[i, n] for i, n in sorted(combined.items())],
         }
         merged["mean"] = merged["sum"] / count if count else 0.0
-        rebuilt = Histogram(name=key, bounds=tuple(ha["bounds"]))
-        rebuilt.bucket_counts = list(merged["buckets"])
-        rebuilt.count = count
-        rebuilt.minimum = merged["min"]
-        rebuilt.maximum = merged["max"]
-        for q in TRACKED_QUANTILES:
-            merged[f"p{int(q * 100)}"] = rebuilt.quantile_from_buckets(q)
+        merged.update(_quantiles(merged["buckets"], count, merged["min"], merged["max"]))
         out["histograms"][key] = merged
     return out
 
@@ -505,9 +379,9 @@ def mergeable_view(snapshot: dict) -> dict:
     * counters -- sums, kept (quantized: float addition orders differ);
     * gauges -- ``min``/``max``/``sets`` kept, ``last`` dropped (which
       vehicle recorded last depends on registry interleaving);
-    * histograms -- ``count``/``sum``/``min``/``max``/``mean``/``buckets``
-      kept, streaming quantile estimates dropped (P-squared markers are
-      order-sensitive and merges re-estimate from buckets);
+    * histograms -- everything kept: ``count``/``buckets`` and the
+      p50/p95/p99 read from them are exact under any merge order, and
+      ``sum``/``mean`` are quantized (``min``/``max`` too, for symmetry);
     * ``sim.queue_depth`` dropped entirely (the shared queue's depth is a
       property of the partitioning, not the workload).
 
@@ -528,15 +402,16 @@ def mergeable_view(snapshot: dict) -> dict:
     for key, hist in snapshot.get("histograms", {}).items():
         if key.startswith("sim.queue_depth"):
             continue
-        out["histograms"][key] = {
+        view = {
             "count": hist["count"],
             "sum": _quantize(hist["sum"]),
             "min": _quantize(hist["min"]),
             "max": _quantize(hist["max"]),
             "mean": _quantize(hist["mean"]),
             "buckets": list(hist["buckets"]),
-            "bounds": list(hist["bounds"]),
         }
+        view.update(_quantiles(hist["buckets"], hist["count"], hist["min"], hist["max"]))
+        out["histograms"][key] = view
     return out
 
 

@@ -126,7 +126,7 @@ class Collector(Recorder):
     # -- export ------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Current metric snapshot (plain dict; see ``metrics.diff_snapshots``)."""
+        """Current metric snapshot (plain dict; see ``metrics.merge_snapshots``)."""
         return self.registry.snapshot()
 
     def metrics_json(self, indent: int | None = 2) -> str:

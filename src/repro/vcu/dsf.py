@@ -156,6 +156,7 @@ class DSF:
             # must cancel the request (and unwind the queue accounting),
             # not leak the slot forever.
             yield grant
+            granted_at = self.sim.now
             yield self.sim.timeout(exec_time)
             device.busy_seconds += exec_time
             device.tasks_completed += 1
@@ -167,7 +168,7 @@ class DSF:
             self._accounting.record(
                 device.name,
                 exec_time,
-                self.sim.now - requested_at - exec_time,
+                granted_at - requested_at,
                 task.work_gop,
             )
             self._touched[device.name] = device

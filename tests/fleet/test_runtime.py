@@ -129,3 +129,18 @@ class TestMetricsInvariance:
             merge_many([r.metrics_snapshot() for r in rts2])
         )
         assert single == sharded
+        # Sketch quantiles merge exactly, so the view keeps and compares them.
+        assert single["histograms"]
+        for hist in single["histograms"].values():
+            assert {"p50", "p95", "p99"} <= set(hist)
+
+    def test_dsf_queue_wait_is_never_negative(self):
+        from repro.obs import merge_many
+
+        config = FleetConfig(seed=17, vehicles=8, duration_s=10.0)
+        _, runtimes = drive(config, 1)
+        snap = merge_many([r.metrics_snapshot() for r in runtimes])
+        waits = [hist for key, hist in snap["histograms"].items()
+                 if key.startswith("vcu.queue_wait_s")]
+        assert waits
+        assert all(hist["min"] >= 0.0 for hist in waits)

@@ -4,17 +4,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
-    DEFAULT_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricRegistry,
-    P2Quantile,
-    diff_snapshots,
     merge_snapshots,
+    mergeable_view,
 )
+from repro.obs.metrics import _EDGES, ALPHA, TRACKED_QUANTILES
 
 
 def test_counter_accumulates_and_rejects_negative():
@@ -74,82 +75,125 @@ def test_snapshot_is_json_round_trippable():
 
 # -- histograms ------------------------------------------------------------
 
+def _bucket_of(value: float) -> int:
+    """Bucket holding ``value`` on the shared ladder."""
+    return int(np.searchsorted(_EDGES, value, side="left"))
+
+
+def _sketch(values) -> Histogram:
+    hist = Histogram("h")
+    for value in values:
+        hist.observe(value)
+    return hist
+
+
+positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
+samples = st.lists(
+    st.one_of(positive, st.just(0.0), st.floats(min_value=-1e-15, max_value=1e-15)),
+    min_size=1,
+    max_size=60,
+)
+
 
 def test_histogram_empty_snapshot():
     snap = Histogram("h").to_snapshot()
     assert snap["count"] == 0
     assert snap["min"] == 0.0 and snap["max"] == 0.0 and snap["mean"] == 0.0
-    assert sum(snap["buckets"]) == 0
-    assert snap["p50"] == 0.0
+    assert snap["buckets"] == []
+    assert snap["p50"] == snap["p95"] == snap["p99"] == 0.0
 
 
 def test_histogram_single_sample():
-    hist = Histogram("h", bounds=(0.1, 1.0, 10.0))
+    hist = Histogram("h")
     hist.observe(0.5)
     snap = hist.to_snapshot()
     assert snap["count"] == 1
-    assert snap["buckets"] == [0, 1, 0, 0]
+    assert snap["buckets"] == [[_bucket_of(0.5), 1]]
     assert snap["min"] == snap["max"] == 0.5
-    assert hist.quantile(0.5) == pytest.approx(0.5)
+    # Quantiles are clamped to [min, max]: one sample reads back exactly.
+    assert snap["p50"] == snap["p99"] == 0.5
 
 
 def test_histogram_out_of_range_goes_to_overflow_bucket():
-    hist = Histogram("h", bounds=(0.1, 1.0))
-    hist.observe(50.0)
-    hist.observe(-3.0)  # below every bound: lands in the first bucket
-    assert hist.bucket_counts == [1, 0, 1]
-    assert hist.minimum == -3.0 and hist.maximum == 50.0
+    hist = Histogram("h")
+    hist.observe(1e12)
+    hist.observe(-3.0)  # below every edge: lands in bucket 0
+    assert hist.buckets == {0: 1, len(_EDGES): 1}
+    assert hist.minimum == -3.0 and hist.maximum == 1e12
+    assert hist.to_snapshot()["p50"] == 0.0  # bucket 0 reads as zero
+    assert _sketch([2e12, 1e12]).to_snapshot()["p50"] == 2e12  # overflow reads as max
 
 
 def test_histogram_bucket_edges_are_inclusive_upper():
-    hist = Histogram("h", bounds=(1.0, 2.0))
-    hist.observe(1.0)  # exactly on a bound: belongs to that bucket
-    hist.observe(2.0)
-    hist.observe(2.0001)
-    assert hist.bucket_counts == [1, 1, 1]
-
-
-def test_histogram_unsorted_bounds_rejected():
-    with pytest.raises(ValueError):
-        Histogram("h", bounds=(1.0, 0.5))
+    edge = _EDGES[100]
+    hist = _sketch([edge, float(np.nextafter(edge, np.inf))])
+    # Exactly on an edge belongs to that bucket; one ulp above, to the next.
+    assert hist.buckets == {100: 1, 101: 1}
+    assert _EDGES[101] / _EDGES[100] == pytest.approx((1 + ALPHA) / (1 - ALPHA))
 
 
 def test_histogram_default_buckets_cover_platform_latencies():
-    hist = Histogram("h")
-    assert hist.bounds == DEFAULT_BUCKETS
-    hist.observe(0.003)
-    hist.observe(45.0)
-    assert hist.count == 2 and sum(hist.bucket_counts) == 2
+    hist = _sketch([1e-6, 0.003, 45.0, 300.0, 1e5])
+    overflow = len(_EDGES)
+    assert hist.count == 5 and sum(hist.buckets.values()) == 5
+    assert all(0 < index < overflow for index in hist.buckets)
 
 
-def test_histogram_quantile_from_buckets_interpolates():
-    hist = Histogram("h", bounds=(1.0, 2.0, 3.0, 4.0))
-    for value in (0.5, 1.5, 2.5, 3.5):
-        hist.observe(value)
-    q = hist.quantile_from_buckets(0.5)
-    assert 0.5 <= q <= 3.5
-    assert hist.quantile_from_buckets(1.0) == pytest.approx(3.5)
-    with pytest.raises(ValueError):
-        hist.quantile_from_buckets(1.5)
+def test_histogram_zero_and_tiny_negatives_land_in_bucket_zero():
+    hist = _sketch([0.0, -4.2e-17, -9.3e-16, 1e-9])
+    assert hist.buckets == {0: 4}
+    snap = hist.to_snapshot()
+    for key, _ in TRACKED_QUANTILES:
+        assert snap["min"] <= snap[key] <= snap["max"]
 
 
-def test_p2_quantile_matches_numpy_on_smooth_data():
-    rng = np.random.default_rng(0)
-    samples = rng.normal(10.0, 2.0, 4000)
-    estimator = P2Quantile(0.95)
-    for x in samples:
-        estimator.add(float(x))
-    assert estimator.value == pytest.approx(float(np.quantile(samples, 0.95)), rel=0.05)
+@given(values=samples)
+@settings(max_examples=200)
+def test_quantiles_stay_inside_min_max(values):
+    snap = _sketch(values).to_snapshot()
+    for key, _ in TRACKED_QUANTILES:
+        assert snap["min"] <= snap[key] <= snap["max"]
 
 
-def test_p2_quantile_exact_under_five_samples():
-    estimator = P2Quantile(0.5)
-    for x in (3.0, 1.0, 2.0):
-        estimator.add(x)
-    assert estimator.value == 2.0
-    assert P2Quantile(0.5).value == 0.0
-    with pytest.raises(ValueError):
-        P2Quantile(1.0)
+@given(values=st.lists(positive, min_size=1, max_size=200))
+@settings(max_examples=200)
+def test_quantiles_within_alpha_of_exact_order_statistic(values):
+    snap = _sketch(values).to_snapshot()
+    ordered = sorted(values)
+    for key, q in TRACKED_QUANTILES:
+        exact = ordered[int(q * (len(values) - 1))]
+        # The ladder is built by repeated multiplication: allow rounding.
+        assert abs(snap[key] - exact) <= ALPHA * exact * (1 + 1e-9)
+
+
+@given(values=samples)
+@settings(max_examples=200)
+def test_observe_many_equals_observe_per_sample(values):
+    batched = Histogram("h")
+    batched.observe_many(values)
+    # Snapshot equality covers buckets, min/max and a bit-identical sum.
+    assert batched.to_snapshot() == _sketch(values).to_snapshot()
+
+
+@given(a=samples, b=samples)
+@settings(max_examples=200)
+def test_merge_equals_sketch_of_concatenation(a, b):
+    merged = merge_snapshots(
+        {"histograms": {"h": _sketch(a).to_snapshot()}},
+        {"histograms": {"h": _sketch(b).to_snapshot()}},
+    )["histograms"]["h"]
+    whole = _sketch(a + b).to_snapshot()
+    assert merged["buckets"] == whole["buckets"]
+    for key in ("count", "min", "max", "p50", "p95", "p99"):
+        assert merged[key] == whole[key], key
+    assert merged["sum"] == pytest.approx(whole["sum"], rel=1e-12, abs=1e-12)
+
+
+def test_mergeable_view_keeps_quantiles():
+    snap = _loaded_registry().snapshot()
+    view = mergeable_view(snap)["histograms"]["lat"]
+    for key, _ in TRACKED_QUANTILES:
+        assert view[key] == snap["histograms"]["lat"][key]
 
 
 # -- snapshot algebra ------------------------------------------------------
@@ -159,31 +203,10 @@ def _loaded_registry(extra: float = 0.0) -> MetricRegistry:
     registry = MetricRegistry()
     registry.counter("jobs", tier="edge").inc(3 + extra)
     registry.gauge("depth").set(2.0 + extra)
-    hist = registry.histogram("lat", bounds=(0.1, 1.0, 10.0))
+    hist = registry.histogram("lat")
     for value in (0.05, 0.5, 5.0):
         hist.observe(value + extra)
     return registry
-
-
-def test_diff_snapshots_subtracts_counters_and_buckets():
-    registry = _loaded_registry()
-    earlier = registry.snapshot()
-    registry.counter("jobs", tier="edge").inc(2)
-    registry.histogram("lat").observe(0.5)
-    registry.gauge("depth").set(9.0)
-    delta = diff_snapshots(registry.snapshot(), earlier)
-    assert delta["counters"]["jobs{tier=edge}"] == 2.0
-    assert delta["histograms"]["lat"]["count"] == 1
-    assert sum(delta["histograms"]["lat"]["buckets"]) == 1
-    # Gauges are spot values: the later reading wins.
-    assert delta["gauges"]["depth"]["last"] == 9.0
-
-
-def test_diff_against_empty_earlier_is_identity_for_counters():
-    registry = _loaded_registry()
-    snap = registry.snapshot()
-    delta = diff_snapshots(snap, {"counters": {}, "gauges": {}, "histograms": {}})
-    assert delta["counters"] == snap["counters"]
 
 
 def test_merge_snapshots_round_trip():
@@ -196,9 +219,9 @@ def test_merge_snapshots_round_trip():
     assert hist["sum"] == pytest.approx(a["histograms"]["lat"]["sum"]
                                         + b["histograms"]["lat"]["sum"])
     assert hist["min"] == 0.05 and hist["max"] == 6.0
-    assert sum(hist["buckets"]) == 6
-    # Quantiles are re-estimated from the combined buckets.
-    assert hist["p50"] > 0.0
+    assert sum(n for _, n in hist["buckets"]) == 6
+    # Quantiles are read from the combined buckets: p50 is the 3rd of 6.
+    assert hist["p50"] == pytest.approx(1.05, rel=ALPHA)
     gauge = merged["gauges"]["depth"]
     assert gauge == {"last": 3.0, "min": 2.0, "max": 3.0, "sets": 2}
 
@@ -210,15 +233,6 @@ def test_merge_disjoint_series_unions():
     b.counter("only.b").inc(5)
     merged = merge_snapshots(a.snapshot(), b.snapshot())
     assert merged["counters"] == {"only.a": 1.0, "only.b": 5.0}
-
-
-def test_merge_mismatched_bucket_layouts_raises():
-    a = MetricRegistry()
-    a.histogram("h", bounds=(1.0,)).observe(0.5)
-    b = MetricRegistry()
-    b.histogram("h", bounds=(2.0,)).observe(0.5)
-    with pytest.raises(ValueError):
-        merge_snapshots(a.snapshot(), b.snapshot())
 
 
 def test_snapshot_json_is_stable_across_insertion_order():
