@@ -21,32 +21,30 @@ property checked on every commit instead of a convention in DESIGN.md:
   incremental analysis cache (:mod:`.cache`, ``.vdaplint-cache/``) so
   warm runs re-analyze only changed files and their dependents with
   byte-identical output;
-* a **performance** tier (:mod:`.perf`, :mod:`.mp`): sim-hot path
-  classification over the call graph, PERF001-005 rules (per-event
-  allocation, hoistable invariants, quadratic patterns, vectorization
-  candidates, hot-path formatting), MP001-003 multiprocess-safety rules
-  for the fleet layer, and profile-guided ranking (``--perf
-  --profile run.pstats``) that orders findings by expected payoff;
+* **multiprocess-safety** rules for the fleet layer (:mod:`.mp` --
+  MP001-003: spawn-payload picklability, fork-crossing global writes,
+  pipe-protocol exhaustiveness), run in the ``--whole-program`` pass
+  because no profile can show them;
 * a **planning** tier (:mod:`.commgraph`, :mod:`.cost`, :mod:`.plan`):
   static extraction of the cross-vehicle communication graph with link
   latencies recovered by bounded constant propagation + unit inference,
   a provable cross-partition lookahead, FLEET001-003 barrier-safety
   rules, and a greedy-LPT cost-balanced partition plan the fleet layer
-  executes (``--plan``);
+  executes (``--plan``), its per-vehicle costs weighted by the kernel's
+  per-event paths (:class:`~.cost.HotPathIndex`);
 * a **scenario** tier (:mod:`.scenario`): SCN001-005 static validation
   of declarative fleet scenario files (:mod:`repro.scenarios`) --
   schema, unit suffixes, cross-references, per-cell barrier
   feasibility re-proved through the planning tier's ConstResolver, and
   matrix cost budgets from the static cost model (``--scenarios``);
-* a **runtime** cross-check (:mod:`.sanitizer`): an opt-in
-  ``DeterminismSanitizer`` that hashes the live event trace so two
+* the **runtime** cross-check re-exported from :mod:`repro.sim`: an
+  opt-in ``DeterminismSanitizer`` that hashes the live event trace so two
   same-seed runs can be diffed to the first diverging event;
 * a CLI with stable exit codes (:mod:`.cli`)::
 
     python -m repro.analysis src/repro --strict
     python -m repro.analysis --whole-program --jobs 4 src/repro tests --strict
     python -m repro.analysis --cache src/repro tests --strict
-    python -m repro.analysis --perf --profile run.pstats src/repro
     python -m repro.analysis --plan --dump-plan --format json src/repro
     vdaplint --list-rules
 """
@@ -70,7 +68,13 @@ from .commgraph import (
     ConstResolver,
     is_latency_name,
 )
-from .cost import ROLE_ROOTS, RoleWeights, vehicle_costs
+from .cost import (
+    HOT_ROOT_SUFFIXES,
+    ROLE_ROOTS,
+    HotPathIndex,
+    RoleWeights,
+    vehicle_costs,
+)
 from .dataflow import (
     FLOW_RULE_CLASSES,
     TaintAnalysis,
@@ -98,17 +102,6 @@ from .plan import (
     fleet_rules_by_id,
     parse_fleet_spec,
     plan_for_config,
-)
-from .perf import (
-    HOT_ROOT_SUFFIXES,
-    PERF_RULE_CLASSES,
-    HotPathIndex,
-    PerfAnalyzer,
-    ProfileData,
-    load_profile,
-    perf_rules,
-    perf_rules_by_id,
-    rank_findings,
 )
 from .protocol import PROTOCOL_RULE_CLASSES, ProtocolChecker
 from .reporter import render_json, render_text
@@ -157,10 +150,7 @@ __all__ = [
     "MP_RULE_CLASSES",
     "ModuleSummary",
     "MpAnalyzer",
-    "PERF_RULE_CLASSES",
     "PROTOCOL_RULE_CLASSES",
-    "PerfAnalyzer",
-    "ProfileData",
     "Pragmas",
     "ProjectGraph",
     "ProtocolChecker",
@@ -195,17 +185,13 @@ __all__ = [
     "is_latency_name",
     "lint_paths",
     "lint_source",
-    "load_profile",
     "main",
     "mp_rules",
     "mp_rules_by_id",
     "parse_fleet_spec",
     "parse_name_unit",
     "parse_unit_expr",
-    "perf_rules",
-    "perf_rules_by_id",
     "plan_for_config",
-    "rank_findings",
     "render_json",
     "render_text",
     "rules_by_id",

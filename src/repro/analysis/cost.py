@@ -7,20 +7,15 @@ shards by cost instead of count.  The estimate has two factors:
 * **Role weights** -- how expensive one invocation of each per-vehicle
   process role (drive tick, beacon, envelope receive, service submit)
   is, measured statically as call-graph breadth discounted by BFS depth
-  from the role's root, with hot-path functions (PR-7
-  :class:`~repro.analysis.perf.HotPathIndex`) counted double
-  (:class:`RoleWeights`).  When a cProfile pstats
-  dump is supplied the measured cumulative seconds replace the static
-  weight for every profiled role (a ``BENCH_fleet.json`` profile has no
-  per-function data and leaves the static weights in place).
+  from the role's root, with functions on the kernel's per-event paths
+  (:class:`HotPathIndex`) counted double (:class:`RoleWeights`).
 * **Role rates** -- how often each role fires for a given vehicle,
   derived from the fleet configuration (tick period, beacon period,
   ring-neighbour count) and the workload style's per-vehicle service
   multiplicity (:func:`vehicle_costs`).
 
 Costs are relative, not wall-clock seconds: greedy-LPT only needs the
-ratios, and keeping them unit-free means static and profiled weights can
-be swapped without rescaling the plan format.
+ratios.
 """
 
 from __future__ import annotations
@@ -29,9 +24,39 @@ from collections import deque
 from typing import Optional
 
 from .callgraph import ProjectGraph
-from .perf import HotPathIndex, ProfileData
 
-__all__ = ["ROLE_ROOTS", "RoleWeights", "vehicle_costs"]
+__all__ = [
+    "HOT_ROOT_SUFFIXES",
+    "HotPathIndex",
+    "ROLE_ROOTS",
+    "RoleWeights",
+    "vehicle_costs",
+]
+
+#: Qualname suffixes that seed the sim-hot set: the kernel event loop,
+#: the fleet barrier exchange, and the per-event accounting fan-out.
+#: Sim-process generators (``graph.process_roots``) are added dynamically.
+HOT_ROOT_SUFFIXES = (
+    # kernel event loop
+    "Simulator.run",
+    "Simulator.step",
+    "Simulator.run_to_barrier",
+    "Event._resolve",
+    "Process._step",
+    # fleet barrier exchange (the per-event side of a round)
+    "PartitionRuntime.advance",
+    "V2VBus.deliver",
+    # per-event accounting: metrics, quantiles, trace hashing
+    "Collector.count",
+    "Collector.gauge",
+    "Collector.observe",
+    "MetricRegistry._get_or_create",
+    "Histogram.observe",
+    "DeterminismSanitizer._record",
+    "VehicleTraceHash.record_send",
+    "VehicleTraceHash.record_receive",
+    "VehicleTraceHash.record_state",
+)
 
 #: Per-vehicle process roles -> the qualname suffix of the function that
 #: roots the role's work.  The drive suffix is annotated at the source
@@ -43,6 +68,39 @@ ROLE_ROOTS: dict[str, str] = {
     "receive": "V2VBus._deliver_one",
     "service": "DSF.submit",
 }
+
+
+class HotPathIndex:
+    """Which functions run per kernel event, and how far from the loop.
+
+    ``hot`` is the transitive closure of resolved call edges from the
+    roots; ``depth`` maps each hot function to its BFS distance from the
+    nearest root (0 = it *is* a per-event entry point).
+    """
+
+    def __init__(self, graph: ProjectGraph):
+        self.graph = graph
+        roots: set[str] = set()
+        for qual in graph.functions:
+            if qual.endswith(HOT_ROOT_SUFFIXES):
+                roots.add(qual)
+        roots.update(q for q in graph.process_roots if q in graph.functions)
+        self.roots = roots
+        self.depth: dict[str, int] = {}
+        frontier = sorted(roots)
+        level = 0
+        while frontier:
+            nxt: list[str] = []
+            for qual in frontier:
+                if qual in self.depth:
+                    continue
+                self.depth[qual] = level
+                for site in graph.calls.get(qual, ()):
+                    if site.callee and site.callee not in self.depth:
+                        nxt.append(site.callee)
+            frontier = sorted(set(nxt) - set(self.depth))
+            level += 1
+        self.hot = set(self.depth)
 
 
 class RoleWeights:
@@ -59,8 +117,7 @@ class RoleWeights:
     """
 
     def __init__(self, graph: ProjectGraph,
-                 hot: Optional[HotPathIndex] = None,
-                 profile: Optional[ProfileData] = None):
+                 hot: Optional[HotPathIndex] = None):
         self.graph = graph
         self.hot = hot if hot is not None else HotPathIndex(graph)
         self.roots: dict[str, Optional[str]] = {
@@ -71,26 +128,9 @@ class RoleWeights:
             role: self._breadth(root) if root is not None else 0.0
             for role, root in self.roots.items()
         }
-        self.profiled: set[str] = set()
-        blended = dict(static)
-        if profile is not None and profile.kind == "pstats":
-            measured: dict[str, float] = {}
-            for role, root in self.roots.items():
-                info = graph.functions.get(root) if root else None
-                weight = profile.weight_for(info) if info is not None else None
-                if weight is not None and weight > 0:
-                    measured[role] = weight
-            # Only blend when the drive loop itself was profiled: it is
-            # the normalization anchor for both weight sources.
-            if measured.get("drive"):
-                for role, weight in measured.items():
-                    blended[role] = weight / measured["drive"] * (
-                        static["drive"] or 1.0
-                    )
-                self.profiled = set(measured)
-        anchor = blended["drive"] or 1.0
+        anchor = static["drive"] or 1.0
         self.weights: dict[str, float] = {
-            role: round(value / anchor, 6) for role, value in blended.items()
+            role: round(value / anchor, 6) for role, value in static.items()
         }
 
     def _find_root(self, suffix: str) -> Optional[str]:
@@ -121,7 +161,6 @@ class RoleWeights:
         return {
             "roots": {role: self.roots[role] for role in sorted(self.roots)},
             "weights": {role: self.weights[role] for role in sorted(self.weights)},
-            "profiled_roles": sorted(self.profiled),
         }
 
 

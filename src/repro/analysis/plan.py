@@ -25,9 +25,6 @@ proof (:mod:`~repro.analysis.commgraph`) and the per-vehicle cost model
   greedy-LPT cost-balanced shards wrapped in a
   :class:`~repro.fleet.config.PartitionPlan` JSON document stamped with
   the proved lookahead, for ``FleetConfig.plan`` to execute.
-
-The fleet package imports this package's sanitizer, so everything from
-``repro.fleet`` is imported lazily inside the emission functions.
 """
 
 from __future__ import annotations
@@ -36,11 +33,11 @@ import ast
 import os
 from typing import Iterable, Optional
 
+from ..fleet.config import FleetConfig, PartitionPlan, shard_vehicles
 from .callgraph import FunctionInfo, ProjectGraph, build_graph
 from .commgraph import CommEdge, CommGraph, is_latency_name
 from .cost import RoleWeights, vehicle_costs
 from .engine import Finding, Pragmas, Rule
-from .perf import ProfileData
 
 __all__ = [
     "FLEET_RULE_CLASSES",
@@ -314,7 +311,6 @@ def parse_fleet_spec(spec: str) -> dict:
 
 def plan_for_config(config, graph: Optional[ProjectGraph] = None,
                     paths: Optional[list[str]] = None,
-                    profile: Optional[ProfileData] = None,
                     comm: Optional[CommGraph] = None):
     """Emit a cost-balanced :class:`~repro.fleet.config.PartitionPlan`
     for an existing :class:`~repro.fleet.config.FleetConfig`.
@@ -322,12 +318,10 @@ def plan_for_config(config, graph: Optional[ProjectGraph] = None,
     Without ``graph``/``paths`` the cost model and lookahead proof run
     over this installed package -- the tree the config will execute.
     """
-    from ..fleet.config import PartitionPlan, shard_vehicles
-
     if graph is None:
         graph = build_graph(paths if paths is not None else [_PACKAGE_ROOT])
     comm = comm if comm is not None else CommGraph(graph)
-    weights = RoleWeights(graph, profile=profile)
+    weights = RoleWeights(graph)
     costs = vehicle_costs(config, weights)
     shards = shard_vehicles(config.vehicles, config.partitions, costs)
     return PartitionPlan(
@@ -344,11 +338,8 @@ def plan_for_config(config, graph: Optional[ProjectGraph] = None,
 
 
 def emit_plan(graph: ProjectGraph, fleet: Optional[dict] = None,
-              profile: Optional[ProfileData] = None,
               comm: Optional[CommGraph] = None):
     """Emit a plan for a fleet described by :func:`parse_fleet_spec` output."""
-    from ..fleet.config import FleetConfig
-
     settings = dict(_FLEET_SPEC_DEFAULTS)
     settings.update(fleet or {})
     config = FleetConfig(
@@ -358,4 +349,4 @@ def emit_plan(graph: ProjectGraph, fleet: Optional[dict] = None,
         duration_s=settings["duration_s"],
         workload=settings["workload"],
     )
-    return plan_for_config(config, graph=graph, profile=profile, comm=comm)
+    return plan_for_config(config, graph=graph, comm=comm)

@@ -27,11 +27,6 @@ SCN001-003 are pure document checks delegated to
 :mod:`repro.scenarios.schema`; SCN004/005 additionally consult the
 project call graph and only run once a document is structurally clean
 (estimating the cost of a malformed matrix would be noise).
-
-The scenarios package imports this package's unit vocabulary, so
-everything from ``repro.scenarios`` is imported lazily inside methods --
-the same cycle-breaking discipline :mod:`~repro.analysis.plan` uses for
-``repro.fleet``.
 """
 
 from __future__ import annotations
@@ -42,6 +37,14 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from ..scenarios import schema
+from ..scenarios.compiler import build_cell_config
+from ..scenarios.yamlish import (
+    MappingNode,
+    ScalarNode,
+    ScenarioSyntaxError,
+    parse_text,
+)
 from .callgraph import ProjectGraph, build_graph
 from .commgraph import CommGraph
 from .cost import RoleWeights, vehicle_costs
@@ -219,9 +222,6 @@ class ScenarioAnalyzer:
 
     def analyze_source(self, source: str, path: str) -> list[Finding]:
         """Analyze scenario source text (the cacheable unit)."""
-        from ..scenarios.schema import validate
-        from ..scenarios.yamlish import ScenarioSyntaxError, parse_text
-
         try:
             doc = parse_text(source, path)
         except ScenarioSyntaxError as exc:
@@ -231,7 +231,7 @@ class ScenarioAnalyzer:
                 source, path, exc.line, PARSE_ERROR_RULE,
                 f"scenario syntax error: {exc.message}",
             )]
-        issues = validate(doc)
+        issues = schema.validate(doc)
         findings = [
             self._finding(source, path, issue.line, issue.rule,
                           issue.message)
@@ -258,8 +258,6 @@ class ScenarioAnalyzer:
     def _barrier_infeasible(self, source: str, path: str,
                             doc) -> list[Finding]:
         """Re-prove FLEET001/002 per matrix cell with scenario latencies."""
-        from ..scenarios import schema
-
         out: list[Finding] = []
         base = schema.base_settings(doc)
         axes = dict(schema.sweep_axes(doc))
@@ -310,9 +308,6 @@ class ScenarioAnalyzer:
 
     def _budget_overruns(self, source: str, path: str,
                          doc) -> list[Finding]:
-        from ..scenarios import schema
-        from ..scenarios.yamlish import MappingNode, ScalarNode
-
         budget = doc.get("budget")
         if not isinstance(budget, MappingNode):
             return []
@@ -347,8 +342,6 @@ class ScenarioAnalyzer:
     def _matrix_cost(self, doc, cells) -> Optional[float]:
         """Estimated cost of the whole matrix: per-vehicle static cost
         x run duration, summed over every cell's fleet."""
-        from ..scenarios.compiler import build_cell_config
-
         if self._weights is None:
             self._weights = RoleWeights(self._ensure_graph())
         total = 0.0

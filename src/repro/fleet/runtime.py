@@ -14,7 +14,7 @@ Determinism is enforced at two grains:
   and the canonical envelope order, so they are *partition-invariant*: a
   4-partition fleet must match a single-process run vehicle for vehicle.
 * **The kernel trace hash** (via
-  :class:`~repro.analysis.sanitizer.DeterminismSanitizer`) covers every
+  :class:`~repro.sim.sanitizer.DeterminismSanitizer`) covers every
   event the partition's loop fires.  It differs between partitionings
   (different kernels, different event sets) but must be *replay-stable*:
   a respawned worker re-fed the same inbound batches must reproduce it
@@ -33,10 +33,10 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..analysis.sanitizer import DeterminismSanitizer
 from ..apps import make_adas_service
 from ..obs.recorder import Collector
 from ..scenario import DriveScenario, ScenarioReport
+from ..sim import DeterminismSanitizer
 from ..sim.core import KernelCheckpoint, Simulator
 from ..topology.world import build_default_world
 from .config import PartitionSpec
@@ -69,25 +69,21 @@ class VehicleTraceHash:
         self._hash.update(record.encode())
         self._hash.update(b"\n")
 
-    # The f-strings below *are* the hashed trace lines: the formatted text
-    # is the externally visible behaviour being digested, so it cannot be
-    # guarded or precomputed away.
-
     def record_send(self, env: Envelope) -> None:
         self._fold(
-            f"send|{fmt_float(env.sent_s)}|{env.dst}|{env.seq}|{env.payload!r}"  # vdaplint: disable=PERF005
+            f"send|{fmt_float(env.sent_s)}|{env.dst}|{env.seq}|{env.payload!r}"
         )
 
     def record_receive(self, env: Envelope) -> None:
         self._fold(
-            f"rx|{fmt_float(env.deliver_s)}|{env.src}|{env.seq}|{env.payload!r}"  # vdaplint: disable=PERF005
+            f"rx|{fmt_float(env.deliver_s)}|{env.src}|{env.seq}|{env.payload!r}"
         )
 
     def record_state(
         self, barrier_s: float, invocations: int, misses: int, energy_j: float
     ) -> None:
         self._fold(
-            f"state|{fmt_float(barrier_s)}|{invocations}|{misses}|"  # vdaplint: disable=PERF005
+            f"state|{fmt_float(barrier_s)}|{invocations}|{misses}|"
             f"{fmt_float(energy_j)}"
         )
 
@@ -158,7 +154,7 @@ class V2VBus:
                 )
             self.sim.process(
                 # Per-envelope process identity is load-bearing for traces.
-                self._deliver_one(env), name=f"v2v/rx-{env.dst:03d}"  # vdaplint: disable=PERF005
+                self._deliver_one(env), name=f"v2v/rx-{env.dst:03d}"
             )
             count += 1
         return count

@@ -1,4 +1,5 @@
-"""Discrete-event simulation kernel: event loop, processes, resources, RNG."""
+"""Discrete-event simulation kernel: event loop, processes, resources, RNG,
+and the runtime determinism sanitizer."""
 
 from .core import (
     AllOf,
@@ -15,12 +16,15 @@ from .core import (
 from .queues import CalendarQueue, EventQueue, HeapQueue, make_queue
 from .random import RngRegistry
 from .resources import Container, PriorityStore, Resource, Store
+from .sanitizer import DeterminismSanitizer, Divergence, TraceRecord
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "CalendarQueue",
     "Container",
+    "DeterminismSanitizer",
+    "Divergence",
     "Event",
     "EventQueue",
     "HeapQueue",
@@ -35,5 +39,6 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
+    "TraceRecord",
     "make_queue",
 ]

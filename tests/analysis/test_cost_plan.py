@@ -1,5 +1,5 @@
-"""Cost model and plan emission: role weights on the real tree, pstats
-blending, greedy-LPT plan shape, and the fleet-spec parser.
+"""Cost model and plan emission: role weights on the real tree,
+greedy-LPT plan shape, and the fleet-spec parser.
 
 The planner's promise is determinism: identical inputs must produce the
 identical ``PartitionPlan`` document, and the plan must only ever
@@ -22,7 +22,6 @@ from repro.analysis import (
     plan_for_config,
     vehicle_costs,
 )
-from repro.analysis.perf import load_profile, write_synthetic_pstats
 from repro.fleet.config import FleetConfig, PartitionPlan
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -61,31 +60,6 @@ class TestRoleWeights:
         # Both normalize drive to 1.0, but the hot set overlaps the role
         # trees unevenly, so at least one ratio must move.
         assert hot_weights != cold_weights
-
-    def test_pstats_profile_replaces_static_weights(self, graph, tmp_path):
-        path = tmp_path / "run.pstats"
-        # Measured: beacon half as expensive as a drive tick -- far above
-        # its static ~0.12 weight.
-        write_synthetic_pstats(
-            str(path),
-            {
-                ("scenario.py", 1, "control_loop"): 2.0,
-                ("runtime.py", 1, "_beacon_loop"): 1.0,
-            },
-        )
-        weights = RoleWeights(graph, profile=load_profile(str(path)))
-        assert weights.profiled == {"drive", "beacon"}
-        assert weights.weights["drive"] == 1.0
-        assert weights.weights["beacon"] == 0.5
-        # Unprofiled roles keep their static weights.
-        assert weights.weights["service"] == RoleWeights(graph).weights["service"]
-
-    def test_profile_without_drive_sample_is_ignored(self, graph, tmp_path):
-        path = tmp_path / "run.pstats"
-        write_synthetic_pstats(str(path), {("runtime.py", 1, "_beacon_loop"): 9.0})
-        weights = RoleWeights(graph, profile=load_profile(str(path)))
-        assert weights.profiled == set()
-        assert weights.weights == RoleWeights(graph).weights
 
     def test_debug_dict_sorted_and_json_safe(self, graph):
         debug = RoleWeights(graph).to_debug_dict()

@@ -1,27 +1,28 @@
-"""Annotated perf/mp fixture corpus: every rule fires on its seeded bug
-and stays silent on the idiomatic fix in the same (sim-hot) file.
+"""Annotated MP fixture corpus: every multiprocess-safety rule fires on
+its seeded bug and stays silent on the idiomatic fix.
 
-Each fixture under ``perf_fixtures/`` carries ``# expect-perf: RULE`` /
-``# expect-mp: RULE`` annotations; the analyzers must produce *exactly*
-that finding set -- extra findings on the fixed variants are failures
-too.  The corpus directory holds a ``.vdaplint-skip`` marker so repo-wide
-lint sweeps do not trip over the deliberate violations.
+Each fixture under ``mp_fixtures/`` carries ``# expect-mp: RULE``
+annotations; the ``--whole-program`` pass must produce *exactly* that
+finding set -- extra findings on the fixed variants are failures too.
+The corpus directory holds a ``.vdaplint-skip`` marker so repo-wide lint
+sweeps do not trip over the deliberate violations.
 """
 
+import contextlib
+import io
+import json
 import os
 import re
 
 import pytest
 
-from repro.analysis import SKIP_MARKER, MpAnalyzer, PerfAnalyzer, build_graph
-from repro.analysis.mp import MP_RULE_CLASSES
-from repro.analysis.perf import PERF_RULE_CLASSES
+from repro.analysis import MP_RULE_CLASSES, SKIP_MARKER, main
 
-FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "perf_fixtures")
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "mp_fixtures")
 
-EXPECT_RE = re.compile(
-    r"#\s*expect-(?:perf|mp):\s*([A-Z0-9]+(?:\s*,\s*[A-Z0-9]+)*)"
-)
+EXPECT_RE = re.compile(r"#\s*expect-mp:\s*([A-Z0-9]+(?:\s*,\s*[A-Z0-9]+)*)")
+
+MP_IDS = ",".join(cls.id for cls in MP_RULE_CLASSES)
 
 
 def fixture_paths() -> list[str]:
@@ -44,10 +45,13 @@ def expected_findings(source: str) -> set[tuple[int, str]]:
 
 
 def analyze(path: str) -> set[tuple[int, str]]:
-    graph = build_graph([path])
-    findings = PerfAnalyzer().analyze_graph(graph)
-    findings += MpAnalyzer().analyze_graph(graph)
-    return {(f.line, f.rule) for f in findings}
+    """MP findings of one file through the CLI's ``--whole-program`` pass."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["--whole-program", "--select", MP_IDS, "--strict",
+              "--format", "json", path])
+    report = json.loads(out.getvalue())
+    return {(f["line"], f["rule"]) for f in report["findings"]}
 
 
 @pytest.mark.parametrize(
@@ -65,18 +69,12 @@ def test_fixture_matches_annotations(path):
 
 
 def test_corpus_exercises_every_rule():
-    """Every shipped PERF/MP rule must fire somewhere in the corpus."""
-    shipped = {cls.id for cls in PERF_RULE_CLASSES + MP_RULE_CLASSES}
+    """Every shipped MP rule must fire somewhere in the corpus."""
+    shipped = {cls.id for cls in MP_RULE_CLASSES}
     fired = set()
     for path in fixture_paths():
         fired.update(rule for _line, rule in analyze(path))
     assert shipped <= fired, f"rules with no firing fixture: {shipped - fired}"
-
-
-def test_corpus_covers_at_least_eight_rule_ids():
-    """The acceptance floor: >=8 distinct rule ids across the packs."""
-    shipped = {cls.id for cls in PERF_RULE_CLASSES + MP_RULE_CLASSES}
-    assert len(shipped) >= 8
 
 
 def test_corpus_is_skip_marked():
@@ -84,17 +82,21 @@ def test_corpus_is_skip_marked():
     assert os.path.exists(os.path.join(FIXTURE_DIR, SKIP_MARKER))
 
 
-def test_pragma_suppresses_perf_finding(tmp_path):
-    """PERF/MP findings honor the standard vdaplint pragmas."""
+def test_pragma_suppresses_mp_finding(tmp_path):
+    """MP findings honor the standard vdaplint pragmas."""
     bug = (
-        "class Simulator:\n"
-        "    def run(self, events):\n"
-        "        total = 0\n"
-        "        for event in events:\n"
-        "            box = {'seq': event}  # vdaplint: disable=PERF001\n"
-        "            total += box['seq']\n"
-        "        return total\n"
+        "def worker_main(conn, fn):\n"
+        "    return fn(conn)\n"
+        "\n"
+        "\n"
+        "def spawn(ctx, conn):\n"
+        "    return ctx.Process(target=worker_main, args=(conn, lambda x: x)){}\n"
     )
-    path = tmp_path / "hot.py"
-    path.write_text(bug, encoding="utf-8")
-    assert analyze(str(path)) == set()
+    fires = tmp_path / "fires.py"
+    fires.write_text(bug.format(""), encoding="utf-8")
+    assert analyze(str(fires)) == {(6, "MP001")}
+    silenced = tmp_path / "silenced.py"
+    silenced.write_text(
+        bug.format("  # vdaplint: disable=MP001"), encoding="utf-8"
+    )
+    assert analyze(str(silenced)) == set()

@@ -124,3 +124,13 @@ def test_full_drive_injected_nondeterminism_is_pinpointed():
     # the drive differs before t=3.0, so the sanitizer localizes the
     # exact event whose timing changed.
     assert min(divergence.left.time, divergence.right.time) == 3.0
+
+
+def test_linter_path_reexports_the_kernel_class():
+    """Both import paths name one class, so patching either patches both."""
+    import repro.sim
+    from repro.analysis import sanitizer
+
+    assert sanitizer.DeterminismSanitizer is repro.sim.DeterminismSanitizer
+    assert sanitizer.TraceRecord is repro.sim.TraceRecord
+    assert sanitizer.Divergence is repro.sim.Divergence

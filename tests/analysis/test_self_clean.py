@@ -10,13 +10,13 @@ import os
 
 import repro
 from repro.analysis import (
+    MP_RULE_CLASSES,
     CommGraph,
     FleetPlanAnalyzer,
     IncrementalAnalyzer,
-    MpAnalyzer,
-    PerfAnalyzer,
     build_graph,
     lint_paths,
+    main,
     semantic_rules_by_id,
 )
 from repro.analysis.engine import discover_files
@@ -45,18 +45,15 @@ def test_semantic_tier_reports_zero_violations_on_src_repro():
     )
 
 
-def test_perf_tier_reports_zero_violations_on_src_repro():
-    """PERF/MP must be clean too: every remaining hot-path formatting or
-    allocation site is either fixed or carries a justified pragma."""
-    graph = build_graph([repro_source_root()])
-    findings = PerfAnalyzer().analyze_graph(graph)
-    findings += MpAnalyzer().analyze_graph(graph)
-    rendered = "\n".join(
-        f"{f.location()}: {f.rule} {f.message}" for f in findings
-    )
-    assert not findings, (
-        f"perf analysis found violations in src/repro:\n{rendered}"
-    )
+def test_mp_tier_reports_zero_violations_on_src_repro(capsys):
+    """MP001-003 must be clean under ``--whole-program``: every spawn
+    payload pickles, no worker writes a fork-crossed global, and the pipe
+    protocol handles every message it sends."""
+    mp_ids = ",".join(cls.id for cls in MP_RULE_CLASSES)
+    code = main(["--whole-program", "--select", mp_ids, "--strict",
+                 repro_source_root()])
+    out = capsys.readouterr().out
+    assert code == 0, f"MP analysis found violations in src/repro:\n{out}"
 
 
 def test_fleet_tier_reports_zero_violations_on_runtime_trees():
