@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..faults.prockill import KillPlan
-from ..sim.queues import QUEUE_BACKENDS
 from ..workloads.styles import STYLES, WorkloadStyle
 
 __all__ = ["FleetConfig", "PartitionPlan", "PartitionSpec", "shard_vehicles"]
@@ -225,12 +224,6 @@ class FleetConfig:
     )
     start_method: str | None = None
     workload: str = "uniform"
-    #: Event-queue backend each partition kernel runs on (a key of
-    #: ``repro.sim.queues.QUEUE_BACKENDS``).  Backends are pop-for-pop
-    #: identical, so this never changes vehicle hashes -- and
-    #: ``run_single_process`` always uses the ``"heap"`` reference,
-    #: making every fleet-vs-reference hash check a cross-scheduler gate.
-    scheduler: str = "calendar"
     #: Explicit shard assignment (e.g. from a :class:`PartitionPlan`);
     #: ``None`` falls back to round-robin.
     plan: tuple[tuple[int, ...], ...] | None = None
@@ -256,11 +249,6 @@ class FleetConfig:
             raise ValueError(
                 f"unknown workload style {self.workload!r} "
                 f"(have: {', '.join(sorted(STYLES))})"
-            )
-        if self.scheduler not in QUEUE_BACKENDS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r} "
-                f"(have: {', '.join(sorted(QUEUE_BACKENDS))})"
             )
         if self.plan is not None:
             object.__setattr__(

@@ -385,11 +385,8 @@ def run_single_process(config: FleetConfig) -> FleetResult:
     """
     # ``plan`` is shard geometry, not behaviour: the reference collapses
     # to one partition, so any explicit plan must be dropped with it.
-    # The reference also pins the heap scheduler, so checking a fleet run
-    # against it cross-checks whatever backend the config selected.
     reference = replace(
         config, partitions=1, plan=None, kill_plan=None, straggle_s=(),
-        scheduler="heap",
     )
     runtime = PartitionRuntime(reference.spec_for(0))
     runtime.launch()

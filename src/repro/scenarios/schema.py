@@ -36,7 +36,6 @@ from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from typing import Optional
 
 from ..fleet.config import FleetConfig
-from ..sim.queues import QUEUE_BACKENDS
 from ..units import Unit, split_name_unit
 from ..workloads.styles import STYLES
 from .yamlish import MappingNode, ScalarNode, SequenceNode
@@ -57,7 +56,7 @@ __all__ = [
     "validate",
 ]
 
-#: Fault phases the scheduler understands (see ``repro.faults.prockill``).
+#: Kill phases a fault plan understands (see ``repro.faults.prockill``).
 KILL_PHASES: tuple[str, ...] = ("on-advance", "before-ack")
 
 
@@ -101,7 +100,6 @@ FLEET_FIELDS: dict[str, FieldSpec] = _table(
     FieldSpec("tick_s", "float", positive=True),
     FieldSpec("barrier_s", "float", positive=True),
     FieldSpec("barrier_deadline_s", "float", positive=True),
-    FieldSpec("scheduler", "str", choices=tuple(sorted(QUEUE_BACKENDS))),
     FieldSpec("workload", "str"),
     FieldSpec("with_services", "bool"),
     FieldSpec("edge_count", "int", positive=True),

@@ -381,11 +381,12 @@ class Simulator:
     installed (one truthiness check per event).
 
     ``queue`` selects the event-queue backend (see :mod:`repro.sim.queues`):
-    ``None`` or ``"heap"`` for the binary-heap reference, ``"calendar"``
-    for the resizing calendar queue, or any :class:`~repro.sim.queues.
-    EventQueue` instance.  Backends are pop-for-pop identical, so the
-    choice affects wall-clock speed only -- never event order, simulated
-    results, or trace hashes.
+    ``None`` or ``"heap"`` for the binary heap the kernel runs on,
+    ``"calendar"`` for the resizing calendar queue the kernel sweep
+    compares it with, or any :class:`~repro.sim.queues.EventQueue`
+    instance.  Backends are pop-for-pop identical, so the choice affects
+    wall-clock speed only -- never event order, simulated results, or
+    trace hashes.
     """
 
     def __init__(
@@ -395,6 +396,8 @@ class Simulator:
     ):
         self._now = 0.0
         self._queue: EventQueue = make_queue(queue)
+        # Bound once: for the heap this is a C call, no Python frame.
+        self._push = self._queue.push_entry
         self._counter = itertools.count()
         self._stopped = False
         self._fired = 0
@@ -477,7 +480,7 @@ class Simulator:
     # -- scheduling --------------------------------------------------------
 
     def _schedule_event(self, event: Event, delay: float = 0.0, priority: int = 0) -> None:
-        self._queue.push(self._now + delay, priority, next(self._counter), event)
+        self._push((self._now + delay, priority, next(self._counter), event))
 
     def stop(self) -> None:
         """Halt :meth:`run` after the current event finishes."""
@@ -527,26 +530,38 @@ class Simulator:
         step counts) is accumulated in locals and flushed to ``obs`` once
         at exit: the resulting metric values are exactly what per-event
         recording would produce, without per-event recorder calls.
+
+        The loop pops first and checks ``until`` on the popped entry; the
+        one entry past the horizon is pushed back (same key, so the same
+        pop order).  Per event that is one ``pop`` call and, when
+        recording, one ``size`` call -- both C calls on the heap.
         """
         if until is not None and until < self._now:
             raise SimulationError(f"cannot run backwards: until={until} < now={self._now}")
         self._stopped = False
         obs = self.obs
         record = obs.enabled
-        queue = self._queue
+        pop = self._queue.pop
+        size = self._queue.size
+        horizon = float("inf") if until is None else until
         taps = self._taps
         fired = 0
         depths: list[int] = []
         try:
-            while queue and not self._stopped:
-                when = queue.peek()
-                if until is not None and when > until:
+            while not self._stopped:
+                try:
+                    entry = pop()
+                except IndexError:
                     break
-                event = queue.pop()[3]
+                when = entry[0]
+                if when > horizon:
+                    self._push(entry)
+                    break
+                event = entry[3]
                 self._now = when
                 fired += 1
                 if record:
-                    depths.append(len(queue))
+                    depths.append(size())
                 if taps:
                     for tap in taps:
                         tap(event, when)

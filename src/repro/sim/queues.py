@@ -1,4 +1,4 @@
-"""Pluggable event-queue backends for the simulation kernel.
+"""Event-queue backends for the simulation kernel.
 
 The kernel orders its future events by ``(when, priority, seq)``: absolute
 simulation time first, then an explicit scheduling priority, then the
@@ -8,20 +8,19 @@ time.  The ``seq`` component is the FIFO tiebreak that makes event order
 function of the schedule: two events scheduled for the same instant fire
 in the order they were scheduled, on every backend.
 
-Backends implement the small :class:`EventQueue` protocol
-(``push`` / ``pop`` / ``peek`` / ``remove`` / ``len``) and are selected
-per simulator via ``Simulator(queue=...)``:
+Backends implement the small :class:`EventQueue` protocol and are
+selected per simulator via ``Simulator(queue=...)``:
 
-* :class:`HeapQueue` -- the binary-heap reference (the seed kernel's
-  behaviour, ``heapq`` underneath).  O(log n) push/pop with tiny C
-  constants; the golden baseline every other backend must match
-  pop-for-pop.
+* :class:`HeapQueue` -- the binary heap the kernel runs on (the default,
+  and the only backend fleet runs use).  Its per-event members are
+  ``heapq`` calls bound to its list, so the kernel's event loop runs no
+  Python frame of this module per event.
 * :class:`CalendarQueue` -- dynamically resizing time buckets.  Events
   hash into a bucket by ``when // width``; within a bucket they are kept
   sorted by the full ``(when, priority, seq)`` key, and buckets drain in
-  time order.  Push and pop are O(1) amortized when the bucket width
-  tracks the mean inter-event gap, which the queue maintains by resizing
-  (see :meth:`CalendarQueue._resize`) whenever occupancy drifts.
+  time order.  Kept as the comparison column of the kernel pending-set
+  sweep (``perfbench/kernel_sweep.py``), where the heap is faster at
+  every measured size.
 
 Both backends yield *identical* pop sequences for identical push
 sequences (property-tested in ``tests/property/test_queue_equivalence``),
@@ -32,6 +31,7 @@ speed.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Iterator
 
@@ -50,14 +50,26 @@ class EventQueue:
     values are unique and strictly increasing per simulator, which gives
     same-time, same-priority events FIFO semantics -- the determinism
     contract's load-bearing tiebreak.
+
+    The kernel's event loop calls only ``push_entry``, ``pop`` and
+    ``size``; it binds them once per run, so a backend may provide them
+    as plain callables (see :class:`HeapQueue`).
     """
 
     def push(self, when: float, priority: int, seq: int, event: Any) -> None:
         """Insert one entry."""
+        self.push_entry((when, priority, seq, event))
+
+    def push_entry(self, entry: Entry) -> None:
+        """Insert one ``(when, priority, seq, event)`` tuple."""
         raise NotImplementedError
 
     def pop(self) -> Entry:
         """Remove and return the smallest entry (IndexError when empty)."""
+        raise NotImplementedError
+
+    def size(self) -> int:
+        """Number of queued entries."""
         raise NotImplementedError
 
     def peek(self) -> float:
@@ -73,10 +85,10 @@ class EventQueue:
         raise NotImplementedError
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return self.size()
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return self.size() > 0
 
     def __iter__(self) -> Iterator[Entry]:
         """Entries in pop order (non-destructive; for debugging/tests)."""
@@ -84,16 +96,20 @@ class EventQueue:
 
 
 class HeapQueue(EventQueue):
-    """The binary-heap reference backend (``heapq`` underneath)."""
+    """The binary-heap backend (``heapq`` underneath).
+
+    ``push_entry``, ``pop`` and ``size`` are C callables bound to the
+    heap list, not methods: the kernel calls each once per event, and a
+    Python-level wrapper would cost a frame every time.  ``_items`` is
+    therefore never rebound, only mutated in place.
+    """
 
     def __init__(self):
-        self._items: list[Entry] = []
-
-    def push(self, when: float, priority: int, seq: int, event: Any) -> None:
-        heappush(self._items, (when, priority, seq, event))
-
-    def pop(self) -> Entry:
-        return heappop(self._items)
+        items: list[Entry] = []
+        self._items = items
+        self.push_entry = partial(heappush, items)
+        self.pop = partial(heappop, items)
+        self.size = items.__len__
 
     def peek(self) -> float:
         return self._items[0][0] if self._items else float("inf")
@@ -108,9 +124,6 @@ class HeapQueue(EventQueue):
                     heapq.heapify(self._items)
                 return True
         return False
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def __iter__(self) -> Iterator[Entry]:
         return iter(sorted(self._items, key=lambda e: e[:3]))
@@ -152,8 +165,8 @@ class CalendarQueue(EventQueue):
 
     # -- protocol ----------------------------------------------------------
 
-    def push(self, when: float, priority: int, seq: int, event: Any) -> None:
-        entry = (when, priority, seq, event)
+    def push_entry(self, entry: Entry) -> None:
+        when = entry[0]
         number = int(when / self._width)
         bucket = self._buckets.get(number)
         if bucket is None:
@@ -206,7 +219,7 @@ class CalendarQueue(EventQueue):
             return True
         return False
 
-    def __len__(self) -> int:
+    def size(self) -> int:
         return self._size
 
     def __iter__(self) -> Iterator[Entry]:
@@ -282,7 +295,7 @@ class CalendarQueue(EventQueue):
         heapq.heapify(self._bucket_heap)
 
 
-#: Names accepted by ``Simulator(queue=...)`` and ``FleetConfig.scheduler``.
+#: Names accepted by ``Simulator(queue=...)``.
 QUEUE_BACKENDS = {
     "heap": HeapQueue,
     "calendar": CalendarQueue,
@@ -292,7 +305,7 @@ QUEUE_BACKENDS = {
 def make_queue(queue: "EventQueue | str | None") -> EventQueue:
     """Resolve a queue selection to a fresh backend instance.
 
-    ``None`` means the reference :class:`HeapQueue`; a string picks a
+    ``None`` means the kernel's :class:`HeapQueue`; a string picks a
     registered backend by name; an :class:`EventQueue` instance is used
     as-is (it must be empty and unshared).
     """

@@ -15,7 +15,7 @@ from repro.obs import (
     merge_snapshots,
     mergeable_view,
 )
-from repro.obs.metrics import _EDGES, ALPHA, TRACKED_QUANTILES
+from repro.obs.metrics import _EDGES, ALPHA, OBSERVE_LOOP_MAX, TRACKED_QUANTILES
 
 
 def test_counter_accumulates_and_rejects_negative():
@@ -173,6 +173,29 @@ def test_observe_many_equals_observe_per_sample(values):
     batched.observe_many(values)
     # Snapshot equality covers buckets, min/max and a bit-identical sum.
     assert batched.to_snapshot() == _sketch(values).to_snapshot()
+
+
+#: Batch sizes on both sides of the loop/numpy crossover, edges included.
+crossover_sizes = st.sampled_from(
+    [1, 4, OBSERVE_LOOP_MAX - 1, OBSERVE_LOOP_MAX, OBSERVE_LOOP_MAX + 1,
+     3 * OBSERVE_LOOP_MAX]
+)
+sample_value = st.one_of(
+    positive, st.just(0.0), st.integers(min_value=0, max_value=10 ** 6),
+    st.floats(min_value=-1e9, max_value=1e12, allow_nan=False),
+    st.sampled_from(_EDGES),
+)
+
+
+@given(data=st.data(), size=crossover_sizes, as_array=st.booleans())
+@settings(max_examples=150)
+def test_observe_many_equals_observe_across_the_crossover(data, size, as_array):
+    values = data.draw(st.lists(sample_value, min_size=size, max_size=size))
+    batched = Histogram("h")
+    batched.observe_many(np.asarray(values, dtype=float) if as_array else values)
+    single = _sketch(values)
+    assert batched == single
+    assert json.dumps(batched.to_snapshot()) == json.dumps(single.to_snapshot())
 
 
 @given(a=samples, b=samples)

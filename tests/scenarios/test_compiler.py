@@ -14,7 +14,6 @@ SMOKE = (
     "  partitions: 4\n"
     "  duration_s: 12.0\n"
     "  barrier_s: 1.0\n"
-    "  scheduler: calendar\n"
     "  workload: uniform\n"
     "links:\n"
     "  v2v_latency_s: 1.0\n"
@@ -30,7 +29,7 @@ def test_plain_scenario_lowers_to_an_equal_config():
     assert len(scenario.cells) == 1
     assert scenario.cells[0].config == FleetConfig(
         seed=42, vehicles=8, partitions=4, duration_s=12.0,
-        barrier_s=1.0, scheduler="calendar", workload="uniform",
+        barrier_s=1.0, workload="uniform",
         v2v_latency_s=1.0, beacon_period_s=2.0,
     )
 

@@ -1,7 +1,14 @@
 """Schema semantics: issue anchoring, matrix expansion, settings maps."""
 
+import dataclasses
+import types
+import typing
+
+from repro.fleet.config import FleetConfig
 from repro.scenarios import parse_text, validate
 from repro.scenarios.schema import (
+    FLEET_FIELDS,
+    LINK_FIELDS,
     base_settings,
     config_defaults,
     effective_vehicles,
@@ -110,11 +117,9 @@ def test_effective_vehicles_prefers_the_roster():
 
 
 def test_config_defaults_track_the_dataclass():
-    from repro.fleet.config import FleetConfig
-
     defaults = config_defaults()
     assert defaults["vehicles"] == FleetConfig().vehicles
-    assert defaults["scheduler"] == FleetConfig().scheduler
+    assert defaults["workload"] == FleetConfig().workload
 
 
 def test_issues_sorted_and_deduplicated():
@@ -126,3 +131,41 @@ def test_issues_sorted_and_deduplicated():
     issues = validate(parse_text(text))
     assert issues == sorted(issues)
     assert len(issues) == len(set(issues))
+
+
+#: Scalar FleetConfig fields a scenario document deliberately cannot set.
+NON_DSL_FIELDS = {
+    "start_method": "multiprocessing start method: a host choice, not "
+                    "part of the experiment",
+}
+
+
+def _scalar_kind(hint) -> str | None:
+    """``"int"``/``"float"``/``"bool"``/``"str"`` behind ``hint`` (``X | None``
+    unwrapped), or None for structured fields."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        members = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        if len(members) != 1:
+            return None
+        hint = members[0]
+    return hint.__name__ if hint in (int, float, bool, str) else None
+
+
+def _fleet_scalars() -> dict[str, str]:
+    hints = typing.get_type_hints(FleetConfig)
+    kinds = {f.name: _scalar_kind(hints[f.name]) for f in dataclasses.fields(FleetConfig)}
+    return {name: kind for name, kind in kinds.items() if kind is not None}
+
+
+def test_every_scalar_fleet_field_is_in_the_schema_or_listed():
+    schema = {**FLEET_FIELDS, **LINK_FIELDS}
+    for name in _fleet_scalars():
+        assert (name in schema) != (name in NON_DSL_FIELDS), name
+
+
+def test_every_schema_field_is_a_fleet_field_of_the_same_kind():
+    scalars = _fleet_scalars()
+    assert not set(FLEET_FIELDS) & set(LINK_FIELDS)
+    for name, spec in {**FLEET_FIELDS, **LINK_FIELDS}.items():
+        assert scalars.get(name) == spec.kind, name
+    assert set(NON_DSL_FIELDS) <= set(scalars)
