@@ -128,23 +128,25 @@ class Dropout(Layer):
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, int, int]:
-    """(N, C, H, W) -> (N * out_h * out_w, C * kh * kw) patch matrix."""
+    """(N, C, H, W) -> (N, C * kh * kw, out_h * out_w) channel-major patch stack.
+
+    One copy out of a strided sliding-window view; no transpose, so a
+    ``W.reshape(oc, -1) @ cols`` lands in NCHW order directly.
+    """
     n, c, h, w = x.shape
     out_h = (h - kh) // stride + 1
     out_w = (w - kw) // stride + 1
-    # Strided view over sliding windows, then reshape to a matrix.
-    shape = (n, c, out_h, out_w, kh, kw)
+    shape = (n, c, kh, kw, out_h, out_w)
     strides = (
         x.strides[0],
         x.strides[1],
-        x.strides[2] * stride,
-        x.strides[3] * stride,
         x.strides[2],
         x.strides[3],
+        x.strides[2] * stride,
+        x.strides[3] * stride,
     )
     patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kh * kw)
-    return cols, out_h, out_w
+    return patches.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
 
 
 class Conv2D(Layer):
@@ -173,39 +175,44 @@ class Conv2D(Layer):
         self._cache = None
 
     def _pad(self, x: np.ndarray) -> np.ndarray:
-        if self.pad == 0:
+        p = self.pad
+        if p == 0:
             return x
-        return np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad), (self.pad, self.pad)))
+        n, c, h, w = x.shape
+        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p : p + h, p : p + w] = x
+        return xp
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         xp = self._pad(x)
         oc, ic, kh, kw = self.W.shape
         cols, out_h, out_w = _im2col(xp, kh, kw, self.stride)
-        w_mat = self.W.reshape(oc, -1)
-        out = cols @ w_mat.T + self.b
-        n = x.shape[0]
-        out = out.reshape(n, out_h, out_w, oc).transpose(0, 3, 1, 2)
+        out = np.matmul(self.W.reshape(oc, -1), cols)
+        out += self.b[:, None]
         if training:
-            self._cache = (x.shape, xp.shape, cols)
-        return out
+            self._cache = (xp.shape, cols)
+        return out.reshape(x.shape[0], oc, out_h, out_w)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward() before forward(training=True)")
-        x_shape, xp_shape, cols = self._cache
+        xp_shape, cols = self._cache
         n, oc, out_h, out_w = grad.shape
         _, ic, kh, kw = self.W.shape
+        s = self.stride
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, oc)
-        self.dW = (grad_mat.T @ cols).reshape(self.W.shape)
+        cols_mat = cols.transpose(0, 2, 1).reshape(n * out_h * out_w, -1)
+        self.dW = (grad_mat.T @ cols_mat).reshape(self.W.shape)
         self.db = grad_mat.sum(axis=0)
-        # Gradient w.r.t. input: scatter col gradients back.
-        dcols = grad_mat @ self.W.reshape(oc, -1)
+        # Gradient w.r.t. input: scatter col gradients back, one strided add
+        # per kernel offset.  Walking the offsets in reverse adds into each
+        # input pixel in the same order as a loop over output positions would.
+        dcols = np.matmul(self.W.reshape(oc, -1).T, grad.reshape(n, oc, -1))
+        dpatches = dcols.reshape(n, ic, kh, kw, out_h, out_w)
         dxp = np.zeros(xp_shape)
-        dpatches = dcols.reshape(n, out_h, out_w, ic, kh, kw)
-        for i in range(out_h):
-            for j in range(out_w):
-                hs, ws = i * self.stride, j * self.stride
-                dxp[:, :, hs : hs + kh, ws : ws + kw] += dpatches[:, i, j]
+        for i in reversed(range(kh)):
+            for j in reversed(range(kw)):
+                dxp[:, :, i : i + s * out_h : s, j : j + s * out_w : s] += dpatches[:, :, i, j]
         if self.pad:
             dxp = dxp[:, :, self.pad : -self.pad, self.pad : -self.pad]
         return dxp
@@ -241,26 +248,31 @@ class MaxPool2D(Layer):
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
         s = self.size
-        out_h, out_w = h // s, w // s
-        view = x[:, :, : out_h * s, : out_w * s].reshape(n, c, out_h, s, out_w, s)
-        out = view.max(axis=(3, 5))
+        out_h, out_w = x.shape[2] // s, x.shape[3] // s
+        # The window max over strided slices, separably: rows, then columns.
+        rows = x[:, :, 0 : s * out_h : s, : s * out_w]
+        for i in range(1, s):
+            rows = np.maximum(rows, x[:, :, i : s * out_h : s, : s * out_w])
+        out = rows[:, :, :, 0::s]
+        for j in range(1, s):
+            out = np.maximum(out, rows[:, :, :, j::s])
         if training:
-            self._cache = (x.shape, view, out)
+            self._cache = (x, out)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward() before forward(training=True)")
-        x_shape, view, out = self._cache
+        x, out = self._cache
         s = self.size
-        mask = view == out[:, :, :, None, :, None]
-        dview = mask * grad[:, :, :, None, :, None]
-        n, c, h, w = x_shape
-        out_h, out_w = h // s, w // s
-        dx = np.zeros(x_shape)
-        dx[:, :, : out_h * s, : out_w * s] = dview.reshape(n, c, out_h * s, out_w * s)
+        out_h, out_w = out.shape[2:]
+        dx = np.zeros(x.shape)
+        # Every tied maximum gets the gradient, as with a full-window mask.
+        for i in range(s):
+            for j in range(s):
+                window = np.s_[:, :, i : s * out_h : s, j : s * out_w : s]
+                dx[window] = (x[window] == out) * grad
         return dx
 
     def output_shape(self, input_shape):
@@ -280,7 +292,7 @@ class Flatten(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if training:
             self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))  # no -1: N may be 0
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._shape is None:

@@ -8,6 +8,12 @@ from .layers import Layer
 
 __all__ = ["Sequential", "softmax", "cross_entropy"]
 
+#: Largest batch :meth:`Sequential.predict_proba` runs in one forward pass;
+#: bigger batches go through in blocks of this many samples, which keeps
+#: each layer's intermediates cache-sized.  Set by a block-size sweep of
+#: the perception CNN (see DESIGN.md, "Vectorized perception path").
+PREDICT_BLOCK = 16
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, numerically stabilized."""
@@ -49,7 +55,10 @@ class Sequential:
         return grad
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(x))
+        if len(x) <= PREDICT_BLOCK:
+            return softmax(self.forward(x))
+        blocks = range(0, len(x), PREDICT_BLOCK)
+        return np.concatenate([softmax(self.forward(x[i : i + PREDICT_BLOCK])) for i in blocks])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.predict_proba(x).argmax(axis=1)

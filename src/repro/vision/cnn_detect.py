@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..nn.network import Sequential
 from ..nn.train import SGD, train_classifier
@@ -71,30 +72,24 @@ class CnnDetector:
         while size <= min(h, w):
             scale = size / self.patch_size
             step = max(1, int(stride * scale))
-            coords = [
-                (y, x)
-                for y in range(0, h - size + 1, step)
-                for x in range(0, w - size + 1, step)
-            ]
+            # Row-major (y, then x) windows as one strided view; other
+            # scales resize every window with one nearest-neighbour gather.
+            windows = sliding_window_view(img, (size, size))[::step, ::step]
+            ny, nx = windows.shape[:2]
+            if scale != 1.0:
+                near = (np.arange(self.patch_size) * size // self.patch_size).clip(0, size - 1)
+                windows = windows[:, :, near[:, None], near[None, :]]
+            count = ny * nx
             if max_windows is not None:
-                coords = coords[: max_windows - windows_done]
-            if coords:
-                batch = np.empty(
-                    (len(coords), 1, self.patch_size, self.patch_size),
-                    dtype=img.dtype,
-                )
-                for k, (y, x) in enumerate(coords):
-                    crop = img[y : y + size, x : x + size]
-                    if scale != 1.0:
-                        crop = _downsample(crop, self.patch_size)
-                    batch[k, 0] = crop
+                count = min(count, max_windows - windows_done)
+            if count > 0:
+                batch = windows.reshape(ny * nx, 1, self.patch_size, self.patch_size)[:count]
                 probs = self.network.predict_proba(batch)
-                total_flops += flops_per_window * len(coords)
-                windows_done += len(coords)
-                for k, (y, x) in enumerate(coords):
-                    score = probs[k, 1]
-                    if score > 0.5:
-                        detections.append(Detection(x, y, size, float(score)))
+                total_flops += flops_per_window * count
+                windows_done += count
+                for k in np.flatnonzero(probs[:, 1] > 0.5).tolist():
+                    y, x = divmod(k, nx)
+                    detections.append(Detection(x * step, y * step, size, float(probs[k, 1])))
             if max_windows is not None and windows_done >= max_windows:
                 return detections, total_flops
             size = int(round(size * scale_factor))
@@ -119,14 +114,6 @@ class CnnDetector:
             total += nx * ny * flops_per_window
             size = int(round(size * scale_factor))
         return total
-
-
-def _downsample(patch: np.ndarray, target: int) -> np.ndarray:
-    """Nearest-neighbour resize to target x target."""
-    h, w = patch.shape
-    ys = (np.arange(target) * h // target).clip(0, h - 1)
-    xs = (np.arange(target) * w // target).clip(0, w - 1)
-    return patch[np.ix_(ys, xs)]
 
 
 def train_cnn_detector(

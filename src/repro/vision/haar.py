@@ -10,6 +10,7 @@ arithmetic so Table I's latency comes from mechanics, not constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -44,6 +45,16 @@ def rect_sum(ii: np.ndarray, x, y, w, h):
     return ii[y + h, x + w] - ii[y, x + w] - ii[y + h, x] + ii[y, x]
 
 
+def _progression_step(p: np.ndarray) -> int | None:
+    """The step if ``p`` is an increasing arithmetic progression of 2+ terms."""
+    if len(p) < 2:
+        return None
+    step = int(p[1] - p[0])
+    if step < 1 or np.any(np.diff(p) != step):
+        return None
+    return step
+
+
 @dataclass(frozen=True)
 class HaarFeature:
     """A two- or three-rectangle Haar feature in unit window coordinates.
@@ -67,6 +78,29 @@ class HaarFeature:
     def rect_count(self) -> int:
         return 3 if self.kind == "three_h" else 2
 
+    def _rects(self, size: int) -> list[tuple[int, int, int, int]]:
+        """(dx, dy, w, h) of each rectangle from the feature's corner.
+
+        The response is the first rectangle's sum minus the others'.
+        """
+        fw = max(2, int(self.fw * size))
+        fh = max(2, int(self.fh * size))
+        if self.kind == "two_h":  # right - left
+            half = fw // 2
+            return [(half, 0, half, fh), (0, 0, half, fh)]
+        if self.kind == "two_v":  # bottom - top
+            half = fh // 2
+            return [(0, half, fw, half), (0, 0, fw, half)]
+        third = fw // 3  # centre - left - right
+        return [(third, 0, third, fh), (0, 0, third, fh), (2 * third, 0, third, fh)]
+
+    def _response(self, rect_sum_at, px, py, size: int):
+        (dx, dy, w, h), *rest = self._rects(size)
+        value = rect_sum_at(px + dx, py + dy, w, h)
+        for dx, dy, w, h in rest:
+            value = value - rect_sum_at(px + dx, py + dy, w, h)
+        return value / (size * size)
+
     def evaluate(self, ii: np.ndarray, x, y, size: int):
         """Feature response for window(s) at (x, y) of side ``size``.
 
@@ -75,25 +109,31 @@ class HaarFeature:
         """
         px = (x + self.fx * size).astype(int) if hasattr(x, "astype") else int(x + self.fx * size)
         py = (y + self.fy * size).astype(int) if hasattr(y, "astype") else int(y + self.fy * size)
-        fw = max(2, int(self.fw * size))
-        fh = max(2, int(self.fh * size))
-        if self.kind == "two_h":
-            half = fw // 2
-            left = rect_sum(ii, px, py, half, fh)
-            right = rect_sum(ii, px + half, py, half, fh)
-            value = right - left
-        elif self.kind == "two_v":
-            half = fh // 2
-            top = rect_sum(ii, px, py, fw, half)
-            bottom = rect_sum(ii, px, py + half, fw, half)
-            value = bottom - top
-        else:  # three_h
-            third = fw // 3
-            a = rect_sum(ii, px, py, third, fh)
-            b = rect_sum(ii, px + third, py, third, fh)
-            c = rect_sum(ii, px + 2 * third, py, third, fh)
-            value = b - a - c
-        return value / (size * size)
+        return self._response(partial(rect_sum, ii), px, py, size)
+
+    def evaluate_grid(self, ii: np.ndarray, xs: np.ndarray, ys: np.ndarray, size: int) -> np.ndarray:
+        """:meth:`evaluate` for every window of the grid ``ys`` x ``xs``: (len(ys), len(xs)).
+
+        The feature corners ``px``/``py`` are computed per axis as in
+        :meth:`evaluate`.  When both are progressions (the sliding-window
+        case) each rectangle's four integral-image corners are strided
+        views of ``ii``; otherwise :func:`rect_sum` takes broadcast
+        indices.  Either way the values equal the per-window lookups.
+        """
+        px = (xs + self.fx * size).astype(int)
+        py = (ys + self.fy * size).astype(int)
+        sx, sy = _progression_step(px), _progression_step(py)
+        if sx is None or sy is None:
+            return self._response(partial(rect_sum, ii), px[None, :], py[:, None], size)
+        nx, ny = len(px), len(py)
+
+        def corner(y: int, x: int) -> np.ndarray:
+            return ii[y : y + sy * ny : sy, x : x + sx * nx : sx]
+
+        def grid_rect_sum(x: int, y: int, w: int, h: int) -> np.ndarray:
+            return corner(y + h, x + w) - corner(y, x + w) - corner(y + h, x) + corner(y, x)
+
+        return self._response(grid_rect_sum, int(px[0]), int(py[0]), size)
 
 
 @dataclass
@@ -106,7 +146,10 @@ class WeakClassifier:
     alpha: float = 1.0
 
     def predict(self, ii: np.ndarray, x, y, size: int):
-        value = self.feature.evaluate(ii, x, y, size)
+        return self.vote(self.feature.evaluate(ii, x, y, size))
+
+    def vote(self, value):
+        """The weak decision on feature response(s) ``value``."""
         raw = value > self.threshold
         return raw if self.polarity > 0 else ~raw if isinstance(raw, np.ndarray) else not raw
 
@@ -166,6 +209,24 @@ class HaarDetector:
             total += clf.alpha * votes
         return total
 
+    def score_grid(self, ii: np.ndarray, xs: np.ndarray, ys: np.ndarray, size: int) -> np.ndarray:
+        """Ensemble score of every window on the grid ``ys`` x ``xs``.
+
+        A (len(ys), len(xs)) array whose row-major ravel equals
+        :meth:`score_windows` over ``np.meshgrid(xs, ys)``, bit for bit.
+        """
+        total = np.zeros((len(ys), len(xs)))
+        for clf in self.classifiers:
+            total += clf.alpha * clf.vote(clf.feature.evaluate_grid(ii, xs, ys, size))
+        return total
+
+    def _window_ops(self) -> int:
+        """Arithmetic cost of scoring one window with every feature."""
+        return sum(
+            clf.feature.rect_count * OPS_PER_RECT + OPS_FEATURE_OVERHEAD
+            for clf in self.classifiers
+        )
+
     def classify_patch(self, patch: np.ndarray) -> bool:
         """Binary decision for one window-sized patch."""
         ii = integral_image(patch)
@@ -190,6 +251,7 @@ class HaarDetector:
         alpha_total = sum(c.alpha for c in self.classifiers)
         accept = self.threshold_fraction * alpha_total
 
+        feature_ops = self._window_ops()
         detections: list[Detection] = []
         ops = 0
         size = self.window
@@ -198,26 +260,17 @@ class HaarDetector:
             ys0 = np.arange(0, h - size, step)
             if len(xs0) == 0 or len(ys0) == 0:
                 break
-            gx, gy = np.meshgrid(xs0, ys0)
-            xs, ys = gx.ravel(), gy.ravel()
-            scores = self.score_windows(ii, xs, ys, size)
-            feature_ops = sum(
-                clf.feature.rect_count * OPS_PER_RECT + OPS_FEATURE_OVERHEAD
-                for clf in self.classifiers
-            )
-            ops += len(xs) * feature_ops
-            hits = scores >= accept
-            for x, y, s in zip(xs[hits], ys[hits], scores[hits]):
-                detections.append(Detection(int(x), int(y), size, float(s)))
+            scores = self.score_grid(ii, xs0, ys0, size)
+            ops += scores.size * feature_ops
+            rows, cols = np.nonzero(scores >= accept)  # row-major: y, then x
+            for x, y, s in zip(xs0[cols].tolist(), ys0[rows].tolist(), scores[rows, cols].tolist()):
+                detections.append(Detection(x, y, size, s))
             size = int(round(size * scale_factor))
         return detections, ops
 
     def scan_ops(self, width: int, height: int, scale_factor: float = 1.25, step: int = 1) -> int:
         """Analytic op count of a full scan without executing it."""
-        feature_ops = sum(
-            clf.feature.rect_count * OPS_PER_RECT + OPS_FEATURE_OVERHEAD
-            for clf in self.classifiers
-        )
+        feature_ops = self._window_ops()
         ops = 0
         size = self.window
         while size <= min(width, height):

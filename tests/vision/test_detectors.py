@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.hw import catalog
+from repro.nn.zoo import make_tiny_cnn
 from repro.vision import (
+    CnnDetector,
+    Detection,
     HaarFeature,
     background_patch,
     integral_image,
@@ -147,3 +150,88 @@ def test_table1_faster_processor_gives_lower_latency():
     # Same op counts, faster DNN silicon.
     assert rows_v100[2].latency_ms < rows_cpu[2].latency_ms
     assert rows_v100[2].ops == rows_cpu[2].ops
+
+
+# -- vectorized scans pinned to the per-window paths they replaced -----------
+
+
+@pytest.fixture(scope="module")
+def haar_detector():
+    rng = np.random.default_rng(6)
+    positives, negatives = _patches(30, rng)
+    return train_haar_detector(positives, negatives, rounds=12, rng=rng)
+
+
+@pytest.mark.parametrize("step", [1, 4])
+def test_haar_grid_scores_equal_per_window_scores(haar_detector, step):
+    rng = np.random.default_rng(step)
+    for h, w in ((60, 80), (47, 53)):
+        ii = integral_image(rng.random((h, w)))
+        size = haar_detector.window
+        while size < min(h, w):
+            xs0, ys0 = np.arange(0, w - size, step), np.arange(0, h - size, step)
+            gx, gy = np.meshgrid(xs0, ys0)
+            grid = haar_detector.score_grid(ii, xs0, ys0, size)
+            per_window = haar_detector.score_windows(ii, gx.ravel(), gy.ravel(), size)
+            assert grid.shape == (len(ys0), len(xs0))
+            assert np.array_equal(grid.ravel(), per_window)
+            size = int(round(size * 1.25))
+
+
+def test_haar_grid_scoring_falls_back_off_a_progression(haar_detector):
+    ii = integral_image(np.random.default_rng(9).random((50, 60)))
+    xs0 = np.array([0, 1, 3, 7, 8, 20, 31])  # not an arithmetic progression
+    ys0 = np.array([2, 5, 6, 19])
+    gx, gy = np.meshgrid(xs0, ys0)
+    grid = haar_detector.score_grid(ii, xs0, ys0, 18)
+    assert np.array_equal(grid.ravel(), haar_detector.score_windows(ii, gx.ravel(), gy.ravel(), 18))
+
+
+@pytest.mark.parametrize("step", [1, 4])
+def test_haar_detect_equals_meshgrid_scan(haar_detector, step):
+    img, _ = road_scene(width=120, height=90, rng=np.random.default_rng(11))
+    ii = integral_image(img)
+    accept = haar_detector.threshold_fraction * sum(c.alpha for c in haar_detector.classifiers)
+    expected = []
+    size = haar_detector.window
+    while size <= 90:
+        gx, gy = np.meshgrid(np.arange(0, 120 - size, step), np.arange(0, 90 - size, step))
+        xs, ys = gx.ravel(), gy.ravel()
+        scores = haar_detector.score_windows(ii, xs, ys, size)
+        hits = scores >= accept
+        expected += [Detection(int(x), int(y), size, float(s))
+                     for x, y, s in zip(xs[hits], ys[hits], scores[hits])]
+        size = int(round(size * 1.25))
+    detections, _ops = haar_detector.detect(img, step=step)
+    assert detections == expected
+
+
+def _per_window_cnn_detect(detector, img, stride, scale_factor, max_windows):
+    """One crop and one nearest-neighbour resize per window, then one batch per scale."""
+    patch = detector.patch_size
+    detections, size, done = [], patch, 0
+    h, w = img.shape
+    while size <= min(h, w) and (max_windows is None or done < max_windows):
+        step = max(1, int(stride * size / patch))
+        coords = [(y, x) for y in range(0, h - size + 1, step) for x in range(0, w - size + 1, step)]
+        if max_windows is not None:
+            coords = coords[: max_windows - done]
+        near = (np.arange(patch) * size // patch).clip(0, size - 1)
+        batch = np.stack([img[y : y + size, x : x + size][np.ix_(near, near)] for y, x in coords])
+        probs = detector.network.predict_proba(batch[:, None])
+        detections += [Detection(x, y, size, float(probs[k, 1]))
+                       for k, (y, x) in enumerate(coords) if probs[k, 1] > 0.5]
+        done += len(coords)
+        size = int(round(size * scale_factor))
+    return detections
+
+
+@pytest.mark.parametrize("max_windows", [None, 326])  # 326 cuts into the second scale
+def test_cnn_window_assembly_equals_per_window_crops(max_windows):
+    detector = CnnDetector(make_tiny_cnn(input_shape=(1, 16, 16), channels=4, seed=2), patch_size=16)
+    img, _ = road_scene(width=90, height=70, rng=np.random.default_rng(12))
+    expected = _per_window_cnn_detect(detector, img, 4, 1.5, max_windows)
+    detections, flops = detector.detect(img, stride=4, scale_factor=1.5, max_windows=max_windows)
+    assert expected and detections == expected
+    if max_windows is not None:
+        assert flops == max_windows * detector.network.flops_per_sample()
