@@ -74,7 +74,7 @@ def main() -> None:
         metrics_path, trace_path = collector.write(args.observe)
         snap = collector.snapshot()
         print(f"\nobservability: {int(snap['counters']['sim.events_fired'])} "
-              f"sim events, {len(collector.tracer.events)} trace events")
+              f"sim events, {len(collector.tracer)} trace events")
         print(f"  metrics -> {metrics_path}")
         print(f"  trace   -> {trace_path}  (open at https://ui.perfetto.dev)")
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..apps import make_adas_service
-from ..obs.recorder import Collector
+from ..obs.recorder import Collector, HandleCache
 from ..scenario import DriveScenario, ScenarioReport
 from ..sim import DeterminismSanitizer
 from ..sim.core import KernelCheckpoint, Simulator
@@ -208,6 +208,14 @@ class PartitionRuntime:
         )
         self.bus.on_send = self._on_send
         self.bus.on_receive = self._on_receive
+        # Per-vehicle V2V counters, bound on a vehicle's first message.
+        obs, label = self.sim.obs, self.config.vehicle_label
+        self._v2v_tx = HandleCache(
+            lambda v: obs.counter("fleet.v2v_tx", vehicle=label(v))
+        )
+        self._v2v_rx = HandleCache(
+            lambda v: obs.counter("fleet.v2v_rx", vehicle=label(v))
+        )
         self.hashes = {v: VehicleTraceHash(v) for v in spec.vehicle_indices}
         self.scenarios: dict[int, DriveScenario] = {}
         self.reports: dict[int, ScenarioReport] = {}
@@ -239,15 +247,11 @@ class PartitionRuntime:
 
     def _on_send(self, env: Envelope) -> None:
         self.hashes[env.src].record_send(env)
-        self.sim.obs.count(
-            "fleet.v2v_tx", vehicle=self.config.vehicle_label(env.src)
-        )
+        self._v2v_tx[env.src].inc()
 
     def _on_receive(self, env: Envelope) -> None:
         self.hashes[env.dst].record_receive(env)
-        self.sim.obs.count(
-            "fleet.v2v_rx", vehicle=self.config.vehicle_label(env.dst)
-        )
+        self._v2v_rx[env.dst].inc()
 
     # -- vehicle processes -------------------------------------------------
 

@@ -13,7 +13,7 @@ per-task recording would have produced; only the call count changes.
 
 from __future__ import annotations
 
-from ..obs.recorder import Recorder
+from ..obs.recorder import HandleCache, Recorder
 
 __all__ = ["TaskAccounting"]
 
@@ -30,7 +30,7 @@ class TaskAccounting:
       ledger tying scheduled work back to the ``repro.nn`` cost models).
     """
 
-    __slots__ = ("_exec", "_wait", "_gops", "_metric_names")
+    __slots__ = ("_exec", "_wait", "_gops", "_metric_names", "_obs", "_series")
 
     def __init__(self, prefix: str = "vcu"):
         # device -> list of per-task samples (exec and wait stay sample
@@ -44,6 +44,9 @@ class TaskAccounting:
             f"{prefix}.queue_wait_s",
             f"{prefix}.task_gops",
         )
+        # Per-device handles for the recorder last flushed into.
+        self._obs: Recorder | None = None
+        self._series: tuple[HandleCache, ...] = ()
 
     def record(
         self, device: str, exec_s: float, wait_s: float, work_gop: float
@@ -72,13 +75,22 @@ class TaskAccounting:
         """
         if not self._exec:
             return
-        completed, exec_name, wait_name, gops_name = self._metric_names
+        if obs is not self._obs:
+            self._obs = obs
+            completed, exec_name, wait_name, gops_name = self._metric_names
+            self._series = (
+                HandleCache(lambda d: obs.counter(completed, device=d)),
+                HandleCache(lambda d: obs.histogram(exec_name, device=d)),
+                HandleCache(lambda d: obs.histogram(wait_name, device=d)),
+                HandleCache(lambda d: obs.counter(gops_name, device=d)),
+            )
+        done, exec_s, wait_s, gops = self._series
         for device in sorted(self._exec):
             exec_samples = self._exec[device]
-            obs.count(completed, len(exec_samples), device=device)
-            obs.observe_batch(exec_name, exec_samples, device=device)
-            obs.observe_batch(wait_name, self._wait[device], device=device)
-            obs.count(gops_name, self._gops[device], device=device)
+            done[device].inc(len(exec_samples))
+            exec_s[device].observe_many(exec_samples)
+            wait_s[device].observe_many(self._wait[device])
+            gops[device].inc(self._gops[device])
         self._exec.clear()
         self._wait.clear()
         self._gops.clear()

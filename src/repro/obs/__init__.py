@@ -15,7 +15,10 @@ global RNG, byte-stable exports):
 * **Recorder** (:mod:`repro.obs.recorder`) -- the facade the hot layers
   call.  The default :data:`NULL_RECORDER` is a near-zero-cost no-op;
   installing a :class:`Collector` (``Simulator(obs=...)`` or
-  ``DriveScenario(observe=...)``) lights up every hook at once.
+  ``DriveScenario(observe=...)``) lights up every hook at once.  Hot
+  sites keep a bound series handle (``counter``/``gauge_series``/
+  ``histogram``, usually through :class:`HandleCache`) instead of
+  resolving name + labels per event.
 
 :class:`Report` (:mod:`repro.obs.report`) is the unified benchmark output
 path: declared columns, ``to_text()`` for the committed tables,
@@ -33,7 +36,7 @@ from .metrics import (
     merge_snapshots,
     mergeable_view,
 )
-from .recorder import NULL_RECORDER, Collector, Recorder
+from .recorder import NULL_RECORDER, Collector, HandleCache, Recorder
 from .report import Column, Report
 from .trace import Span, SpanTracer
 
@@ -42,6 +45,7 @@ __all__ = [
     "Column",
     "Counter",
     "Gauge",
+    "HandleCache",
     "Histogram",
     "MetricRegistry",
     "NULL_RECORDER",

@@ -13,17 +13,25 @@ a metric registry + span tracer, with JSON exporters for both.
 The single-wiring-point pattern: hand one Collector to
 ``Simulator(obs=...)`` (or ``DriveScenario(observe=...)``) and every
 subsystem sharing that simulator records into it.
+
+Hot call sites do not look a series up per event.  They ask the
+recorder once for a **handle** (:meth:`Recorder.counter`,
+:meth:`Recorder.gauge_series`, :meth:`Recorder.histogram`) and keep it:
+the null sink hands out one shared no-op handle per kind, a
+:class:`Collector` the registry series itself.  :class:`HandleCache`
+binds one handle per key (vehicle, device, process name) on first use,
+so a series still appears only once something is recorded into it.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable
+from typing import Any, Callable, Hashable
 
-from .metrics import MetricRegistry
+from .metrics import Counter, Gauge, Histogram, MetricRegistry
 from .trace import Span, SpanTracer
 
-__all__ = ["Recorder", "Collector", "NULL_RECORDER"]
+__all__ = ["Recorder", "Collector", "HandleCache", "NULL_RECORDER"]
 
 
 class _NullSpan:
@@ -39,6 +47,41 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
+class _NullCounter:
+    """Shared do-nothing counter handle."""
+
+    __slots__ = ()
+
+    def inc(self, n: float = 1.0) -> None:
+        pass
+
+
+class _NullGauge:
+    """Shared do-nothing gauge handle."""
+
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        pass
+
+
+class _NullHistogram:
+    """Shared do-nothing histogram handle."""
+
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values) -> None:
+        pass
+
+
+_NULL_COUNTER = _NullCounter()
+_NULL_GAUGE = _NullGauge()
+_NULL_HISTOGRAM = _NullHistogram()
+
+
 class Recorder:
     """No-op instrumentation sink; :class:`Collector` overrides everything.
 
@@ -51,6 +94,21 @@ class Recorder:
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the time source spans are stamped from (sim clock)."""
+
+    def counter(self, name: str, **labels) -> Counter | _NullCounter:
+        """A counter handle (``inc(n)``) for hot call sites to keep."""
+        return _NULL_COUNTER
+
+    def gauge_series(self, name: str, **labels) -> Gauge | _NullGauge:
+        """A gauge handle (``set(value)``) for hot call sites to keep.
+
+        Not ``gauge``: that name is the cold setter below.
+        """
+        return _NULL_GAUGE
+
+    def histogram(self, name: str, **labels) -> Histogram | _NullHistogram:
+        """A histogram handle (``observe``/``observe_many``) to keep."""
+        return _NULL_HISTOGRAM
 
     def count(self, name: str, n: float = 1.0, **labels) -> None:
         """Bump a counter series."""
@@ -85,6 +143,29 @@ class Recorder:
 NULL_RECORDER = Recorder()
 
 
+class HandleCache(dict):
+    """Metric handles keyed by one label value, bound on first use.
+
+    ``cache[key]`` calls ``bind(key)`` the first time a key is read and
+    keeps the handle, so a series is created exactly when the first
+    sample arrives (no zero-valued series for keys that never record)
+    and every later read is a plain dict hit::
+
+        tx = HandleCache(lambda v: obs.counter("fleet.v2v_tx", vehicle=v))
+        tx[vehicle].inc()
+    """
+
+    __slots__ = ("_bind",)
+
+    def __init__(self, bind: Callable[[Hashable], Any]):
+        super().__init__()
+        self._bind = bind
+
+    def __missing__(self, key: Hashable) -> Any:
+        handle = self[key] = self._bind(key)
+        return handle
+
+
 class Collector(Recorder):
     """A live recorder: metric registry + span tracer + exporters."""
 
@@ -96,6 +177,15 @@ class Collector(Recorder):
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         self.tracer.clock = clock
+
+    def counter(self, name: str, **labels) -> Counter:
+        return self.registry.counter(name, **labels)
+
+    def gauge_series(self, name: str, **labels) -> Gauge:
+        return self.registry.gauge(name, **labels)
+
+    def histogram(self, name: str, **labels) -> Histogram:
+        return self.registry.histogram(name, **labels)
 
     def count(self, name: str, n: float = 1.0, **labels) -> None:
         self.registry.counter(name, **labels).inc(n)

@@ -53,16 +53,26 @@ class Span:
 
 
 class SpanTracer:
-    """Accumulates trace events against an injected (sim) clock."""
+    """Accumulates trace records against an injected (sim) clock.
+
+    Recording appends one flat row per record -- ``(ph, tid, name, track,
+    start_s, end_s, args)`` for a complete span, an async pair (``"b"``;
+    one row for both ends), an instant (``"i"``) or a track's naming
+    metadata (``"M"``) -- and the Chrome event dicts are built only at
+    export (:meth:`to_chrome`, :attr:`events`).  A process-lifetime span
+    on the fleet path therefore costs one tuple, not two dicts, and most
+    runs never export at all.
+    """
 
     def __init__(self, clock: Callable[[], float] | None = None):
         self.clock = clock if clock is not None else (lambda: 0.0)
-        self.events: list[dict] = []
+        self._rows: list[tuple] = []
         self._track_tids: dict[str, int] = {}
-        self._async_seq = 0
+        self._async_pairs = 0
 
     def __len__(self) -> int:
-        return len(self.events)
+        """Exported event count (an async pair is two events)."""
+        return len(self._rows) + self._async_pairs
 
     def _tid(self, track: str) -> int:
         """Stable per-track thread id; first use emits the naming metadata."""
@@ -70,15 +80,7 @@ class SpanTracer:
         if tid is None:
             tid = len(self._track_tids) + 1
             self._track_tids[track] = tid
-            self.events.append(
-                {
-                    "ph": "M",
-                    "pid": TRACE_PID,
-                    "tid": tid,
-                    "name": "thread_name",
-                    "args": {"name": track},
-                }
-            )
+            self._rows.append(("M", tid, "thread_name", track, 0.0, 0.0, None))
         return tid
 
     # -- recording ---------------------------------------------------------
@@ -107,70 +109,76 @@ class SpanTracer:
         self, name: str, start_s: float, end_s: float, track: str = "main", **args
     ) -> None:
         """Record a finished nested span as a complete (``X``) event."""
-        event = {
-            "ph": "X",
-            "pid": TRACE_PID,
-            "tid": self._tid(track),
-            "name": name,
-            "cat": track,
-            "ts": start_s * 1e6,
-            "dur": max(0.0, end_s - start_s) * 1e6,
-        }
-        if args:
-            event["args"] = args
-        self.events.append(event)
+        self._rows.append(("X", self._tid(track), name, track, start_s, end_s, args))
 
     def async_span(
         self, name: str, start_s: float, end_s: float, track: str = "async", **args
     ) -> None:
         """Record a possibly-overlapping span (a sim process lifetime)."""
-        self._async_seq += 1
-        ident = f"0x{self._async_seq:x}"
-        tid = self._tid(track)
-        begin = {
-            "ph": "b",
-            "pid": TRACE_PID,
-            "tid": tid,
-            "name": name,
-            "cat": track,
-            "id": ident,
-            "ts": start_s * 1e6,
-        }
-        if args:
-            begin["args"] = args
-        self.events.append(begin)
-        self.events.append(
-            {
-                "ph": "e",
-                "pid": TRACE_PID,
-                "tid": tid,
-                "name": name,
-                "cat": track,
-                "id": ident,
-                "ts": end_s * 1e6,
-            }
-        )
+        self._async_pairs += 1
+        self._rows.append(("b", self._tid(track), name, track, start_s, end_s, args))
 
     def instant(self, name: str, ts: float | None = None, track: str = "main", **args) -> None:
         """Record a zero-duration marker (a pipeline switch, a fault)."""
-        event = {
-            "ph": "i",
-            "pid": TRACE_PID,
-            "tid": self._tid(track),
-            "name": name,
-            "cat": track,
-            "ts": (self.clock() if ts is None else ts) * 1e6,
-            "s": "t",
-        }
-        if args:
-            event["args"] = args
-        self.events.append(event)
+        when = self.clock() if ts is None else ts
+        self._rows.append(("i", self._tid(track), name, track, when, when, args))
 
     # -- export ------------------------------------------------------------
 
+    @property
+    def events(self) -> list[dict]:
+        """The Chrome event dicts, in emission order (built per access).
+
+        Async pairs get ids ``0x1``, ``0x2``, ... in the order they were
+        recorded.
+        """
+        out: list[dict] = []
+        append = out.append
+        async_id = 0
+        for ph, tid, name, track, start_s, end_s, args in self._rows:
+            if ph == "M":
+                append(
+                    {
+                        "ph": "M",
+                        "pid": TRACE_PID,
+                        "tid": tid,
+                        "name": name,
+                        "args": {"name": track},
+                    }
+                )
+                continue
+            event = {"ph": ph, "pid": TRACE_PID, "tid": tid, "name": name, "cat": track}
+            if ph == "X":
+                event["ts"] = start_s * 1e6
+                event["dur"] = max(0.0, end_s - start_s) * 1e6
+            elif ph == "b":
+                async_id += 1
+                ident = f"0x{async_id:x}"
+                event["id"] = ident
+                event["ts"] = start_s * 1e6
+            else:
+                event["ts"] = start_s * 1e6
+                event["s"] = "t"
+            if args:
+                event["args"] = args
+            append(event)
+            if ph == "b":
+                append(
+                    {
+                        "ph": "e",
+                        "pid": TRACE_PID,
+                        "tid": tid,
+                        "name": name,
+                        "cat": track,
+                        "id": ident,
+                        "ts": end_s * 1e6,
+                    }
+                )
+        return out
+
     def to_chrome(self) -> dict:
         """The Chrome ``trace_event`` document (Perfetto-loadable)."""
-        return {"traceEvents": list(self.events), "displayTimeUnit": "ms"}
+        return {"traceEvents": self.events, "displayTimeUnit": "ms"}
 
     def to_json(self, indent: int | None = None) -> str:
         """Stable JSON export (event order is emission order, sorted keys)."""

@@ -25,7 +25,7 @@ from .edgeos.elastic import ElasticManager
 from .edgeos.service import PolymorphicService
 from .edgeos.sharing import DataSharingBus
 from .obs.metrics import Summary, Timeline
-from .obs.recorder import Recorder
+from .obs.recorder import HandleCache, Recorder
 from .offload.executor import DistributedExecutor
 from .offload.task import TaskGraph
 from .topology.nodes import Tier
@@ -209,12 +209,31 @@ class DriveScenario:
         obs = self.obs
 
         def control_loop(sim):
+            # Per-service series, each bound at its first sample.
+            switches = HandleCache(
+                lambda name: obs.counter("scenario.pipeline_switches", service=name)
+            )
+            hung = HandleCache(
+                lambda name: obs.counter("scenario.hung_ticks", service=name)
+            )
+            invocations = HandleCache(
+                lambda name: obs.counter("scenario.invocations", service=name)
+            )
+            latency = HandleCache(
+                lambda name: obs.histogram("scenario.latency_s", service=name)
+            )
+            misses = HandleCache(
+                lambda name: obs.counter("scenario.deadline_misses", service=name)
+            )
+            dsrc = None
             while sim.now < duration_s:
                 # 1. Update link quality from coverage geometry.
                 dsrc_mbps = self.dsrc_quality_at(sim.now)
                 self.world.links.vehicle_edge.bandwidth_mbps = dsrc_mbps
                 if obs.enabled:
-                    obs.observe("scenario.dsrc_mbps", dsrc_mbps)
+                    if dsrc is None:
+                        dsrc = obs.histogram("scenario.dsrc_mbps")
+                    dsrc.observe(dsrc_mbps)
                 # 2. Elastic re-tune.
                 for service in self._services:
                     service_report = report.services[service.name]
@@ -226,14 +245,14 @@ class DriveScenario:
                     current = choice.pipeline or "HUNG"
                     service_report.pipeline_timeline.record(sim.now, current)
                     if obs.enabled and previous is not None and current != previous:
-                        obs.count("scenario.pipeline_switches", service=service.name)
+                        switches[service.name].inc()
                         obs.instant(
                             "scenario.pipeline_switch", track="scenario",
                             service=service.name, pipeline=current,
                         )
                     if choice.hung:
                         service_report.hung_ticks += 1
-                        obs.count("scenario.hung_ticks", service=service.name)
+                        hung[service.name].inc()
                         continue
                     # 3. Invoke the service if its period elapsed.
                     if sim.now + 1e-9 < next_invocation[service.name]:
@@ -243,14 +262,11 @@ class DriveScenario:
                     evaluation = choice.evaluation
                     service_report.latency.record(evaluation.latency_s)
                     if obs.enabled:
-                        obs.count("scenario.invocations", service=service.name)
-                        obs.observe(
-                            "scenario.latency_s", evaluation.latency_s,
-                            service=service.name,
-                        )
+                        invocations[service.name].inc()
+                        latency[service.name].observe(evaluation.latency_s)
                     if evaluation.latency_s > service.deadline_s:
                         service_report.deadline_misses += 1
-                        obs.count("scenario.deadline_misses", service=service.name)
+                        misses[service.name].inc()
                     # 4. Execute the invocation.
                     pipeline = service.pipeline(choice.pipeline)
                     if self.execute_distributed:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Generator, Iterable, NamedTuple, Optional
 
-from ..obs.recorder import NULL_RECORDER, Recorder
+from ..obs.recorder import NULL_RECORDER, HandleCache, Recorder
 from .queues import EventQueue, make_queue
 
 __all__ = [
@@ -143,17 +143,15 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        #: The name with per-invocation suffixes stripped (label-safe):
+        #: the key the kernel's per-process step/completion counters use.
+        self.short_name = self.name.split("@", 1)[0]
         self._waiting_on: Optional[Event] = None
         self._spawned_at = sim.now
         # Bootstrap: step the generator at the current time.
         bootstrap = Event(sim)
         bootstrap.callbacks.append(self._step)
         bootstrap.succeed()
-
-    @property
-    def short_name(self) -> str:
-        """The name with per-invocation suffixes stripped (label-safe)."""
-        return self.name.split("@", 1)[0]
 
     @property
     def is_alive(self) -> bool:
@@ -410,6 +408,13 @@ class Simulator:
         self.obs: Recorder = obs if obs is not None else NULL_RECORDER
         if obs is not None:
             obs.bind_clock(lambda: self._now)
+        recorder = self.obs
+        self._step_series = HandleCache(
+            lambda name: recorder.counter("sim.process_steps", process=name)
+        )
+        self._completion_series = HandleCache(
+            lambda name: recorder.counter("sim.processes_completed", process=name)
+        )
 
     @property
     def now(self) -> float:
@@ -509,13 +514,15 @@ class Simulator:
         """
         steps = self._pending_steps
         if steps:
+            series = self._step_series
             for name in sorted(steps):
-                obs.count("sim.process_steps", steps[name], process=name)
+                series[name].inc(steps[name])
             steps.clear()
         completions = self._pending_completions
         if completions:
+            series = self._completion_series
             for name in sorted(completions):
-                obs.count("sim.processes_completed", completions[name], process=name)
+                series[name].inc(completions[name])
             completions.clear()
         for hook in self._flush_hooks:
             hook(obs)
@@ -602,7 +609,10 @@ class Simulator:
         self._fired += 1
         obs = self.obs
         if obs.enabled:
+            # The same accounting run() batches: one fired event, one
+            # queue-depth sample taken right after the pop.
             obs.count("sim.events_fired")
+            obs.observe("sim.queue_depth", self._queue.size())
         if self._taps:
             for tap in self._taps:
                 tap(event, when)

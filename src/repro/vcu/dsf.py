@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from ..hw.accounting import TaskAccounting
 from ..hw.energy import EnergyMeter
+from ..obs.recorder import HandleCache
 from ..offload.task import TaskGraph
 from ..sim.core import Simulator
 from .mhep import MHEP, Device
@@ -72,6 +73,9 @@ class DSF:
         # recorder once per sim step (kernel flush hook), not per task.
         self._accounting = TaskAccounting(prefix="vcu")
         self._touched: dict[str, Device] = {}
+        # Gauge handles, bound at the first flush that has work to report.
+        self._utilization: HandleCache | None = None
+        self._energy_gauge = None
         sim.add_flush_hook(self._flush_obs)
 
     # -- control knob (paper: "access interfaces of all computing resources") --
@@ -187,12 +191,14 @@ class DSF:
         if not self._touched:
             return
         self._accounting.flush(obs)
-        now = self.sim.now
-        for device_name in sorted(self._touched):
-            obs.gauge(
-                "vcu.utilization",
-                self._touched[device_name].utilization(now),
-                device=device_name,
+        if self._utilization is None:
+            self._utilization = HandleCache(
+                lambda device: obs.gauge_series("vcu.utilization", device=device)
             )
-        obs.gauge("vcu.energy_busy_j", self.energy.busy_joules())
+            self._energy_gauge = obs.gauge_series("vcu.energy_busy_j")
+        now = self.sim.now
+        utilization = self._utilization
+        for device_name in sorted(self._touched):
+            utilization[device_name].set(self._touched[device_name].utilization(now))
+        self._energy_gauge.set(self.energy.busy_joules())
         self._touched.clear()

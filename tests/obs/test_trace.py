@@ -125,3 +125,104 @@ def test_trace_json_is_deterministic():
         return tracer.to_json()
 
     assert build() == build()
+
+
+class DictTracer:
+    """The dict-per-event tracer ``SpanTracer`` used to be: the oracle for
+    the row-based one (same ids, same dicts, same order)."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.events = []
+        self._track_tids = {}
+        self._async_seq = 0
+
+    def _tid(self, track):
+        tid = self._track_tids.get(track)
+        if tid is None:
+            tid = len(self._track_tids) + 1
+            self._track_tids[track] = tid
+            self.events.append({"ph": "M", "pid": TRACE_PID, "tid": tid,
+                                "name": "thread_name", "args": {"name": track}})
+        return tid
+
+    def complete(self, name, start_s, end_s, track="main", **args):
+        event = {"ph": "X", "pid": TRACE_PID, "tid": self._tid(track), "name": name,
+                 "cat": track, "ts": start_s * 1e6,
+                 "dur": max(0.0, end_s - start_s) * 1e6}
+        if args:
+            event["args"] = args
+        self.events.append(event)
+
+    def span(self, name, track="main", **args):
+        tracer = self
+
+        class _Span:
+            def __enter__(self):
+                self.start = tracer.clock()
+
+            def __exit__(self, exc_type, exc, tb):
+                extra = dict(args, error=exc_type.__name__) if exc_type else args
+                tracer.complete(name, self.start, tracer.clock(), track=track, **extra)
+
+        return _Span()
+
+    def async_span(self, name, start_s, end_s, track="async", **args):
+        self._async_seq += 1
+        ident = f"0x{self._async_seq:x}"
+        tid = self._tid(track)
+        begin = {"ph": "b", "pid": TRACE_PID, "tid": tid, "name": name, "cat": track,
+                 "id": ident, "ts": start_s * 1e6}
+        if args:
+            begin["args"] = args
+        self.events.append(begin)
+        self.events.append({"ph": "e", "pid": TRACE_PID, "tid": tid, "name": name,
+                            "cat": track, "id": ident, "ts": end_s * 1e6})
+
+    def instant(self, name, ts=None, track="main", **args):
+        event = {"ph": "i", "pid": TRACE_PID, "tid": self._tid(track), "name": name,
+                 "cat": track, "ts": (self.clock() if ts is None else ts) * 1e6,
+                 "s": "t"}
+        if args:
+            event["args"] = args
+        self.events.append(event)
+
+    def to_json(self):
+        doc = {"traceEvents": list(self.events), "displayTimeUnit": "ms"}
+        return json.dumps(doc, sort_keys=True)
+
+
+def test_rows_export_exactly_what_dict_events_did():
+    clock = FakeClock()
+    rows, oracle = SpanTracer(clock), DictTracer(clock)
+    tracks = ("sim.process", "vcu", "net", "scenario")
+    for step in range(60):
+        track = tracks[step % len(tracks)]
+        for tracer in (rows, oracle):
+            clock.now = step * 0.137
+            kind = step % 5
+            if kind == 0:
+                tracer.async_span(f"proc-{step}", clock.now - 0.5, clock.now,
+                                  track=track, ok=step % 2 == 0)
+            elif kind == 1:
+                tracer.complete("work", clock.now, clock.now + 0.01 * step, track=track)
+            elif kind == 2:
+                tracer.instant("mark", track=track, pipeline=f"p{step}")
+            elif kind == 3:
+                with tracer.span("nested", track=track, step=step):
+                    clock.now += 0.25
+                    tracer.async_span("child", clock.now - 0.1, clock.now, track=track)
+            else:
+                tracer.instant("fault", ts=clock.now / 2, track=track)
+                tracer.complete("backwards", clock.now, clock.now - 1.0, track=track)
+    with pytest.raises(ValueError):
+        with rows.span("doomed", track="vcu"):
+            raise ValueError
+    with pytest.raises(ValueError):
+        with oracle.span("doomed", track="vcu"):
+            raise ValueError
+
+    assert rows.events == oracle.events
+    assert len(rows) == len(oracle.events)
+    assert rows.to_json() == oracle.to_json()
+    assert rows.to_chrome()["traceEvents"] == oracle.events

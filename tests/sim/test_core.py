@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import Collector
 from repro.sim import (
     Interrupt,
     SimulationError,
@@ -294,6 +295,42 @@ def test_step_processes_single_event():
     sim.timeout(2.0)
     assert sim.step() == 1.0
     assert sim.peek() == 2.0
+
+
+def test_step_loop_records_the_same_metrics_as_run():
+    """Driving a program event by event must account exactly like run():
+    events fired, the queue-depth sample after every pop, and the
+    per-process step/completion counters."""
+
+    def program(sim):
+        def worker(sim, delay):
+            yield sim.timeout(delay)
+            yield sim.timeout(delay / 2)
+            return delay
+
+        def driver(sim):
+            jobs = [sim.process(worker(sim, d), name=f"worker@{d}") for d in (0.5, 1.0, 1.5)]
+            yield sim.all_of(jobs)
+            yield sim.process(worker(sim, 0.25), name="tail")
+
+        sim.process(driver(sim), name="driver")
+        for i in range(4):
+            sim.timeout(0.3 * i)
+
+    ran = Collector()
+    sim = Simulator(obs=ran)
+    program(sim)
+    sim.run()
+
+    stepped = Collector()
+    sim_stepped = Simulator(obs=stepped)
+    program(sim_stepped)
+    while sim_stepped.peek() != float("inf"):
+        sim_stepped.step()
+
+    assert sim_stepped.events_fired == sim.events_fired
+    assert stepped.snapshot() == ran.snapshot()
+    assert stepped.snapshot()["histograms"]["sim.queue_depth"]["count"] == sim.events_fired
 
 
 def test_step_empty_queue_raises():
