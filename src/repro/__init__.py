@@ -21,16 +21,17 @@ A full-stack, simulation-backed reproduction of Zhang et al., ICDCS 2018:
 * :mod:`repro.workloads` -- workload generators
 * :mod:`repro.scenarios` -- the declarative scenario DSL + compiler
 * :mod:`repro.analysis` -- the ``vdaplint`` determinism & safety linter
+  (not imported here: the runtime never loads the linter; import it
+  explicitly)
 """
 
 __version__ = "1.0.0"
 
-from . import analysis, apps, ddi, edgeos, faults, fleet, hw, libvdap, net, nn, obs, offload
+from . import apps, ddi, edgeos, faults, fleet, hw, libvdap, net, nn, obs, offload
 from . import scenario, scenarios, sim, topology, vcu, vision, workloads
 
 __all__ = [
     "__version__",
-    "analysis",
     "apps",
     "ddi",
     "edgeos",

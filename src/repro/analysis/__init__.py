@@ -6,9 +6,8 @@ sim kernel's determinism contract.  This package makes that contract a
 property checked on every commit instead of a convention in DESIGN.md:
 
 * a from-scratch, stdlib-``ast`` lint engine (:mod:`.engine`) with a
-  single-file rule pack encoding the platform invariants (:mod:`.rules`),
-  inline suppression pragmas, and a baseline file for grandfathered
-  findings (:mod:`.baseline`);
+  single-file rule pack encoding the platform invariants (:mod:`.rules`)
+  and inline suppression pragmas; every finding counts;
 * a **whole-program** layer: a project-wide symbol table and call graph
   (:mod:`.callgraph`) feeding an interprocedural nondeterminism taint
   pass (:mod:`.dataflow`) -- DET101/SIM101/RACE001 catch cross-module
@@ -17,10 +16,11 @@ property checked on every commit instead of a convention in DESIGN.md:
   physical units from naming conventions and ``# unit:`` pragmas
   (:mod:`.units` -- UNIT001/UNIT002/UNIT003) and a path-sensitive
   resource-protocol checker over ``sim.resources`` grants
-  (:mod:`.protocol` -- RES101/RES102/PROTO001), both wrapped in an
-  incremental analysis cache (:mod:`.cache`, ``.vdaplint-cache/``) so
-  warm runs re-analyze only changed files and their dependents with
-  byte-identical output;
+  (:mod:`.protocol` -- RES101/RES102/PROTO001), both driven by the one
+  incremental analyzer (:mod:`.cache`) whose single manifest
+  (``.vdaplint-cache/manifest.json``) also holds the scenario tier's
+  entries, so warm runs re-analyze only changed files and their
+  dependents with byte-identical output;
 * **multiprocess-safety** rules for the fleet layer (:mod:`.mp` --
   MP001-003: spawn-payload picklability, fork-crossing global writes,
   pipe-protocol exhaustiveness), run in the ``--whole-program`` pass
@@ -42,14 +42,16 @@ property checked on every commit instead of a convention in DESIGN.md:
   same-seed runs can be diffed to the first diverging event;
 * a CLI with stable exit codes (:mod:`.cli`)::
 
-    python -m repro.analysis src/repro --strict
-    python -m repro.analysis --whole-program --jobs 4 src/repro tests --strict
-    python -m repro.analysis --cache src/repro tests --strict
+    python -m repro.analysis src/repro
+    python -m repro.analysis --whole-program src/repro tests
+    python -m repro.analysis --cache --scenarios src/repro tests scenarios
     python -m repro.analysis --plan --dump-plan --format json src/repro
     vdaplint --list-rules
+
+``import repro`` does not load this package; import it (or run the CLI)
+explicitly.
 """
 
-from .baseline import Baseline, fingerprint_findings
 from .cache import (
     DEFAULT_CACHE_DIR,
     SEMANTIC_RULE_CLASSES,
@@ -110,7 +112,6 @@ from .sanitizer import DeterminismSanitizer, Divergence, TraceRecord
 from .scenario import (
     SCENARIO_RULE_CLASSES,
     ScenarioAnalyzer,
-    ScenarioCache,
     discover_scenario_files,
     scenario_rules,
     scenario_rules_by_id,
@@ -128,7 +129,6 @@ from .units import (
 from .cli import main
 
 __all__ = [
-    "Baseline",
     "COMM_SINKS",
     "CachedRun",
     "CommEdge",
@@ -162,7 +162,6 @@ __all__ = [
     "SEMANTIC_RULE_CLASSES",
     "SKIP_MARKER",
     "ScenarioAnalyzer",
-    "ScenarioCache",
     "SignatureIndex",
     "TaintAnalysis",
     "TraceRecord",
@@ -176,7 +175,6 @@ __all__ = [
     "discover_files",
     "discover_scenario_files",
     "emit_plan",
-    "fingerprint_findings",
     "fleet_rules",
     "fleet_rules_by_id",
     "flow_rules",

@@ -15,6 +15,12 @@ content hash, the serialized module summary, the dependency list with
 each dependency's summary-signature hash, and the (pragma-filtered)
 findings of both the file-level lint pass and the semantic pass.
 
+The same manifest, under the same environment key, holds the
+``--scenarios`` tier's findings.  A scenario file has no cross-file
+dependencies, but SCN004/005 consult this package's lookahead proof and
+cost model, so a scenario entry replays only while both its content hash
+and the package tree digest (``scenario_tree``) are unchanged.
+
 A warm run therefore:
 
 * re-reads and re-hashes every file (cheap), but **parses only files
@@ -25,9 +31,10 @@ A warm run therefore:
 * replays cached findings for everything else, producing byte-identical
   reports to a cold run.
 
-Any change to the enabled rule set, the analyzer version, or the set of
-module names (files added/removed change name resolution globally)
-invalidates the whole cache -- correctness over cleverness.
+Any change to the enabled rule set or the analyzer version invalidates
+the whole cache; a change to the set of module names (files
+added/removed change name resolution globally) invalidates every Python
+entry -- correctness over cleverness.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from .engine import (
     Rule,
 )
 from .protocol import PROTOCOL_RULE_CLASSES, ProtocolChecker
+from .scenario import ScenarioAnalyzer, scenario_rules
 from .units import (
     UNIT_RULE_CLASSES,
     ModuleSummary,
@@ -68,7 +76,7 @@ __all__ = [
 SEMANTIC_RULE_CLASSES = UNIT_RULE_CLASSES + PROTOCOL_RULE_CLASSES
 
 #: Bump to invalidate all caches when analysis semantics change.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 DEFAULT_CACHE_DIR = ".vdaplint-cache"
 MANIFEST_NAME = "manifest.json"
@@ -101,7 +109,6 @@ def catalogue_fingerprint() -> str:
     from .mp import mp_rules
     from .plan import fleet_rules
     from .rules import default_rules
-    from .scenario import scenario_rules
 
     parts: list[str] = []
     for pack in (default_rules(), flow_rules(), semantic_rules(),
@@ -165,7 +172,7 @@ class _FileRecord:
 
 
 class IncrementalAnalyzer:
-    """Runs the file-level lint pass and the semantic pass, with caching.
+    """Runs the file-level, semantic and scenario passes, with caching.
 
     ``cache_dir=None`` runs cold and persists nothing; otherwise the
     manifest under ``cache_dir`` is consulted and rewritten.  Output is
@@ -174,9 +181,11 @@ class IncrementalAnalyzer:
 
     def __init__(self, file_rules: Sequence[Rule],
                  semantic_rule_map: dict[str, Rule],
-                 cache_dir: Optional[str] = None):
+                 cache_dir: Optional[str] = None,
+                 scenario_rules: Sequence[Rule] = ()):
         self.file_rules = list(file_rules)
         self.semantic_rule_map = dict(semantic_rule_map)
+        self.scenario_rules = list(scenario_rules)
         self.cache_dir = cache_dir
         self._engine = LintEngine(self.file_rules)
         self._unit_rules = {
@@ -201,6 +210,9 @@ class IncrementalAnalyzer:
                     f"{rid}@{rule.version}"
                     for rid, rule in self.semantic_rule_map.items()
                 )
+            ),
+            "scenario:" + ",".join(
+                sorted(f"{r.id}@{r.version}" for r in self.scenario_rules)
             ),
             "packs:" + catalogue_fingerprint(),
         ]
@@ -231,7 +243,9 @@ class IncrementalAnalyzer:
         return manifest
 
     def _save_manifest(self, records: dict[str, _FileRecord],
-                       sigs: dict[str, str], module_set_key: str) -> None:
+                       sigs: dict[str, str], module_set_key: str,
+                       scenarios: dict[str, dict],
+                       scenario_tree: Optional[str]) -> None:
         path = self._manifest_path()
         if path is None:
             return
@@ -256,6 +270,8 @@ class IncrementalAnalyzer:
             "env": self._env_key(),
             "module_set": module_set_key,
             "files": files_payload,
+            "scenario_tree": scenario_tree,
+            "scenarios": scenarios,
         }
         try:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -268,7 +284,8 @@ class IncrementalAnalyzer:
 
     # -- the run -----------------------------------------------------------
 
-    def run(self, files: Sequence[str]) -> CachedRun:
+    def run(self, files: Sequence[str],
+            scenario_files: Sequence[str] = ()) -> CachedRun:
         manifest = self._load_manifest()
         cached_files: dict = manifest.get("files", {}) if manifest else {}
 
@@ -357,22 +374,69 @@ class IncrementalAnalyzer:
             findings.extend(record.lint_findings)
             findings.extend(record.semantic_findings)
 
+        scenarios, scenario_entries, scenario_tree = self._scenario_pass(
+            scenario_files, manifest
+        )
+        findings.extend(scenarios.findings)
+
         # A fully-replayed run with an unchanged file set leaves the
         # manifest exactly as it is -- skip the rewrite.
         unchanged = (
             not dirty
+            and not scenarios.analyzed
             and bool(manifest)
             and set(records) == set(cached_files)
+            and set(scenario_entries) == set(manifest.get("scenarios", {}))
         )
         if self.cache_dir is not None and not unchanged:
-            self._save_manifest(records, sigs, module_set_key)
+            self._save_manifest(records, sigs, module_set_key,
+                                scenario_entries, scenario_tree)
 
         return CachedRun(
             findings=sorted(findings),
-            analyzed=sorted(r.path for r in dirty),
-            replayed=sorted(r.path for r in replayed),
+            analyzed=sorted([r.path for r in dirty] + scenarios.analyzed),
+            replayed=sorted([r.path for r in replayed] + scenarios.replayed),
             cache_hit=bool(manifest),
         )
+
+    def _scenario_pass(
+        self, paths: Sequence[str], manifest: dict,
+    ) -> tuple[CachedRun, dict[str, dict], Optional[str]]:
+        """Scenario findings, replayed while content and package tree hold.
+
+        Returns the run plus the manifest's ``scenarios`` entries and
+        ``scenario_tree`` digest for this run.  A run without scenario
+        files carries the cached entries forward untouched.
+        """
+        run = CachedRun()
+        if not paths:
+            return run, manifest.get("scenarios", {}), \
+                manifest.get("scenario_tree")
+        entries: dict[str, dict] = {}
+        analyzer = ScenarioAnalyzer(self.scenario_rules)
+        tree = None
+        cached: dict = {}
+        if self.cache_dir is not None:
+            tree = analyzer.tree_digest()
+            if manifest.get("scenario_tree") == tree:
+                cached = manifest.get("scenarios", {})
+        for path in sorted(set(paths)):
+            with open(path, encoding="utf-8") as fh:
+                source = fh.read()
+            digest = _blake(source.encode("utf-8"))
+            entry = cached.get(path)
+            if entry is not None and entry.get("hash") == digest:
+                found = [_finding_from_dict(raw) for raw in entry["findings"]]
+                run.replayed.append(path)
+            else:
+                found = analyzer.analyze_source(source, path)
+                run.analyzed.append(path)
+            entries[path] = {
+                "hash": digest,
+                "findings": [_finding_to_dict(f) for f in found],
+            }
+            run.findings.extend(found)
+        return run, entries, tree
 
     @staticmethod
     def _deps_moved(cached: dict, sigs: dict[str, str]) -> bool:

@@ -2,27 +2,27 @@
 
 Exit codes are stable so CI can gate on them:
 
-* ``0`` -- no (non-baselined) findings
+* ``0`` -- no findings
 * ``1`` -- findings reported (including files that fail to parse)
-* ``2`` -- usage error (unknown rule id, missing path, bad baseline file,
-  incoherent flag combinations)
+* ``2`` -- usage error (unknown rule id, missing path, incoherent flag
+  combinations)
 
-Two analysis passes share the same reporting/baseline/pragma machinery:
-the per-file pass always runs (parallelizable with ``--jobs``), and
-``--whole-program`` additionally builds the project call graph and runs
-the interprocedural rule packs over it: the taint rules
-(DET101/SIM101/RACE001) and the multiprocess-safety rules (MP001-003).
+Every finding counts; there is no baseline of grandfathered ones.  Every
+run goes through one :class:`~.cache.IncrementalAnalyzer` pass that
+parses each file once for the per-file and semantic rules (and, with
+``--scenarios``, analyzes the scenario files), cold or against the one
+``--cache`` manifest.  ``--whole-program`` additionally builds the
+project call graph and runs the interprocedural rule packs over it: the
+taint rules (DET101/SIM101/RACE001) and the multiprocess-safety rules
+(MP001-003); ``--plan`` runs the fleet planner over the same graph.
 """
 
 from __future__ import annotations
 
 import argparse
-import multiprocessing
-import os
 import sys
 from typing import Optional, Sequence
 
-from .baseline import Baseline, fingerprint_findings
 from .cache import (
     DEFAULT_CACHE_DIR,
     IncrementalAnalyzer,
@@ -32,7 +32,7 @@ from .cache import (
 from .callgraph import build_graph
 from .commgraph import CommGraph
 from .dataflow import TaintAnalysis, WholeProgramAnalyzer, flow_rules, flow_rules_by_id
-from .engine import Finding, LintEngine, Rule, discover_files
+from .engine import Rule, discover_files
 from .mp import MpAnalyzer, mp_rules, mp_rules_by_id
 from .plan import (
     FleetPlanAnalyzer,
@@ -44,19 +44,12 @@ from .plan import (
 from .reporter import render_json, render_text
 from .rules import default_rules, rules_by_id
 from .scenario import (
-    ScenarioAnalyzer,
-    ScenarioCache,
     discover_scenario_files,
     scenario_rules,
     scenario_rules_by_id,
 )
 
 __all__ = ["build_parser", "main"]
-
-DEFAULT_BASELINE = ".vdaplint-baseline.json"
-
-#: Engine rebuilt once per worker process (initializer), not per file.
-_WORKER_ENGINE: Optional[LintEngine] = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based determinism & safety linter for the OpenVDAP "
             "reproduction: one shared tree walk per file, an optional "
-            "whole-program taint pass over the project call graph, pragma "
-            "suppression, and a baseline for grandfathered findings."
+            "whole-program taint pass over the project call graph, and "
+            "pragma suppression; every finding counts."
         ),
     )
     parser.add_argument(
@@ -79,34 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE, metavar="PATH",
-        help=f"baseline file of grandfathered findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help=(
-            "record all current findings into the baseline file (dropping "
-            "fingerprints that no longer match anything) and exit 0"
-        ),
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="ignore the baseline: every finding counts, grandfathered or not",
-    )
-    parser.add_argument(
         "--select", metavar="IDS",
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
         "--ignore", metavar="IDS",
         help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
-        help=(
-            "lint files with N worker processes (0 = one per CPU core); "
-            "findings stay in deterministic path-sorted order"
-        ),
     )
     parser.add_argument(
         "--whole-program", action="store_true",
@@ -172,8 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache", action="store_true",
         help=(
             "enable the incremental analysis cache: warm runs re-analyze "
-            "only changed files and their dependents, with byte-identical "
-            "output to a cold run (implies serial analysis)"
+            "only changed files and their dependents (Python and "
+            "scenario files alike, in one manifest), with byte-identical "
+            "output to a cold run"
         ),
     )
     parser.add_argument(
@@ -224,36 +196,6 @@ def _pick_rules(
     fleet_pack = [r for r in chosen if r.id in fleet_catalogue]
     scenario_pack = [r for r in chosen if r.id in scenario_catalogue]
     return file_rules, wp_rules, semantic_map, fleet_pack, scenario_pack
-
-
-def _init_worker(rule_ids: Sequence[str]) -> None:
-    global _WORKER_ENGINE
-    catalogue = rules_by_id()
-    _WORKER_ENGINE = LintEngine([catalogue[rule_id] for rule_id in rule_ids])
-
-
-def _lint_one(path: str) -> list[Finding]:
-    assert _WORKER_ENGINE is not None
-    return _WORKER_ENGINE.lint_file(path)
-
-
-def _lint_parallel(files: Sequence[str], rule_ids: Sequence[str],
-                   jobs: int) -> list[Finding]:
-    """Fan files out over worker processes; order is restored by sorting.
-
-    ``pool.map`` preserves input (path-sorted) order and the final
-    ``sorted`` pins intra-file ordering, so output is byte-identical to a
-    serial run regardless of worker scheduling.
-    """
-    jobs = min(jobs, len(files)) or 1
-    with multiprocessing.Pool(
-        processes=jobs, initializer=_init_worker, initargs=(list(rule_ids),)
-    ) as pool:
-        per_file = pool.map(_lint_one, files)
-    findings: list[Finding] = []
-    for batch in per_file:
-        findings.extend(batch)
-    return sorted(findings)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -317,26 +259,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except FileNotFoundError as err:
             parser.error(f"no such path: {err.args[0]}")
 
-    if args.jobs < 0:
-        parser.error("--jobs must be >= 0")
-    jobs = args.jobs or os.cpu_count() or 1
     cache_dir = args.cache_dir if args.cache else None
-    if jobs > 1 and len(files) > 1 and not args.cache:
-        findings = _lint_parallel(files, [r.id for r in file_rules], jobs)
-        if semantic_map:
-            # Semantic pass runs serially; E999s are emitted by both
-            # passes identically, so the set union deduplicates them.
-            run = IncrementalAnalyzer([], semantic_map, cache_dir=None).run(files)
-            findings = sorted(set(findings) | set(run.findings))
-    else:
-        run = IncrementalAnalyzer(file_rules, semantic_map, cache_dir).run(files)
-        findings = run.findings
-        if args.cache:
-            print(
-                f"vdaplint: cache: {len(run.analyzed)} analyzed, "
-                f"{len(run.replayed)} replayed",
-                file=sys.stderr,
-            )
+    run = IncrementalAnalyzer(
+        file_rules, semantic_map, cache_dir, scenario_rules=scenario_pack,
+    ).run(files, scenario_files)
+    findings = run.findings
+    if args.cache:
+        print(
+            f"vdaplint: cache: {len(run.analyzed)} analyzed, "
+            f"{len(run.replayed)} replayed",
+            file=sys.stderr,
+        )
 
     debug: dict = {}
     graph = None
@@ -374,72 +307,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.dump_plan:
             debug["plan"] = plan.to_dict()
 
-    if args.scenarios and scenario_files:
-        scenario_analyzer = ScenarioAnalyzer(scenario_pack)
-        if cache_dir is not None:
-            scenario_cache = ScenarioCache(
-                cache_dir, [r.id for r in scenario_pack]
-            )
-            scenario_run = scenario_cache.run(scenario_files,
-                                              scenario_analyzer)
-            scenario_findings = scenario_run.findings
-            print(
-                f"vdaplint: scenario cache: "
-                f"{len(scenario_run.analyzed)} analyzed, "
-                f"{len(scenario_run.replayed)} replayed",
-                file=sys.stderr,
-            )
-        else:
-            scenario_findings = scenario_analyzer.analyze_files(
-                scenario_files
-            )
-        findings = sorted(findings + scenario_findings)
-
-    if args.write_baseline:
-        previous = Baseline()
-        try:
-            previous = Baseline.load(args.baseline)
-        except ValueError:
-            pass  # corrupt old baseline: overwrite it wholesale
-        current = fingerprint_findings(findings)
-        dropped = len(previous.fingerprints - set(current))
-        Baseline(current).save(args.baseline)
-        message = (
-            f"wrote {len(findings)} fingerprint"
-            f"{'s' if len(findings) != 1 else ''} to {args.baseline}"
-        )
-        if dropped:
-            message += f" ({dropped} stale dropped)"
-        print(message)
-        return 0
-
-    baselined_count = 0
-    stale_count = 0
-    if args.strict:
-        try:
-            existing = Baseline.load(args.baseline)
-        except ValueError:
-            existing = Baseline()
-        if len(existing):
-            print(
-                f"vdaplint: warning: --strict ignores the non-empty baseline "
-                f"{args.baseline} ({len(existing)} fingerprints); delete it "
-                "or re-run --write-baseline",
-                file=sys.stderr,
-            )
-    else:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except ValueError as err:
-            parser.error(str(err))
-        stale_count = len(baseline.stale_fingerprints(findings))
-        findings, grandfathered = baseline.partition(findings)
-        baselined_count = len(grandfathered)
-
     render = render_json if args.format == "json" else render_text
     print(render(findings, files_scanned=len(files) + len(scenario_files),
-                 baselined=baselined_count,
-                 stale=stale_count, debug=debug or None))
+                 debug=debug or None))
     return 1 if findings else 0
 
 

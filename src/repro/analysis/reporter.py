@@ -1,11 +1,12 @@
 """Finding reporters: grep-able text and machine-readable JSON.
 
 The JSON document's top-level keys (``version``, ``files_scanned``,
-``baselined``, ``stale_baseline``, ``findings`` and the per-finding keys)
-are consumed by CI tooling and pinned by
-``tests/analysis/test_reporter_schema.py`` -- extend, never rename.
-Debug dumps (``callgraph``, ``taint``, ``commgraph``, ``plan``) appear
-only when requested on the CLI.
+``findings`` and the per-finding keys) are consumed by CI tooling and
+pinned by ``tests/analysis/test_reporter_schema.py`` -- extend, never
+rename.  Version 2 dropped version 1's ``baselined`` and
+``stale_baseline`` counts along with the baseline workflow.  Debug dumps
+(``callgraph``, ``taint``, ``commgraph``, ``plan``) appear only when
+requested on the CLI.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = ["render_text", "render_json"]
 def render_text(
     findings: Sequence[Finding],
     files_scanned: int = 0,
-    baselined: int = 0,
-    stale: int = 0,
     debug: Optional[dict] = None,
 ) -> str:
     """One ``path:line:col: RULE message`` line per finding plus a summary."""
@@ -30,18 +29,10 @@ def render_text(
         f"{finding.location()}: {finding.rule} {finding.message}"
         for finding in sorted(findings)
     ]
-    summary = (
+    lines.append(
         f"{len(findings)} finding{'s' if len(findings) != 1 else ''} "
         f"in {files_scanned} file{'s' if files_scanned != 1 else ''}"
     )
-    if baselined:
-        summary += f" ({baselined} baselined, not shown)"
-    if stale:
-        summary += (
-            f" [{stale} stale baseline fingerprint{'s' if stale != 1 else ''}; "
-            "re-run --write-baseline to garbage-collect]"
-        )
-    lines.append(summary)
     if debug:
         for section in sorted(debug):
             lines.append(f"-- {section} --")
@@ -52,16 +43,12 @@ def render_text(
 def render_json(
     findings: Sequence[Finding],
     files_scanned: int = 0,
-    baselined: int = 0,
-    stale: int = 0,
     debug: Optional[dict] = None,
 ) -> str:
     """A stable JSON document: counts plus one object per finding."""
     payload = {
-        "version": 1,
+        "version": 2,
         "files_scanned": files_scanned,
-        "baselined": baselined,
-        "stale_baseline": stale,
         "findings": [
             {
                 "path": finding.path,

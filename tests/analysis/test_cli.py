@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, formats, baseline workflow, rule selection."""
+"""CLI behaviour: exit codes, formats, rule selection, the retired knobs."""
 
 import json
 import os
@@ -63,28 +63,6 @@ def test_select_and_ignore_filter_rules(tree, capsys):
     assert main(["dirty.py", "--ignore", "DET001,SIM001"]) == 0
 
 
-def test_baseline_workflow_grandfathers_then_strict_overrides(tree, capsys):
-    assert main(["dirty.py", "--write-baseline"]) == 0
-    assert os.path.exists(".vdaplint-baseline.json")
-    capsys.readouterr()
-
-    # Grandfathered finding no longer fails the run...
-    assert main(["dirty.py"]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-
-    # ...but --strict ignores the baseline entirely.
-    assert main(["dirty.py", "--strict"]) == 1
-
-
-def test_new_violation_not_masked_by_baseline(tree, capsys):
-    assert main(["dirty.py", "--write-baseline"]) == 0
-    (tree / "dirty.py").write_text(DIRTY + "\n\nextra = time.monotonic()\n")
-    capsys.readouterr()
-    assert main(["dirty.py"]) == 1
-    out = capsys.readouterr().out
-    assert "monotonic" in out and "1 baselined" in out
-
-
 def test_list_rules_names_the_whole_pack(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
@@ -97,21 +75,6 @@ def test_syntax_error_exits_one(tree, capsys):
     (tree / "broken.py").write_text("def broken(:\n")
     assert main(["broken.py"]) == 1
     assert "E999" in capsys.readouterr().out
-
-
-def test_parallel_jobs_output_matches_serial(tree, capsys):
-    (tree / "dirty2.py").write_text(DIRTY.replace("time.time", "time.monotonic"))
-    serial_code = main(["."])
-    serial_out = capsys.readouterr().out
-    parallel_code = main([".", "--jobs", "2"])
-    parallel_out = capsys.readouterr().out
-    assert serial_code == parallel_code == 1
-    assert serial_out == parallel_out
-
-
-def test_jobs_zero_means_cpu_count(tree, capsys):
-    assert main(["dirty.py", "--jobs", "0"]) == 1
-    assert "DET001" in capsys.readouterr().out
 
 
 def test_dump_flags_require_whole_program(tree):
@@ -140,14 +103,14 @@ def test_whole_program_cli_flags_fixture_corpus(capsys):
         os.path.dirname(__file__), "wp_fixtures", "det101_clock_helper"
     )
     assert main([corpus, "--whole-program", "--select", "DET101",
-                 "--strict", "--format", "json"]) == 1
+                 "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert {f["rule"] for f in payload["findings"]} == {"DET101"}
 
 
 def test_whole_program_debug_dumps_land_in_json(tree, capsys):
     assert main(["dirty.py", "--whole-program", "--format", "json",
-                 "--dump-callgraph", "--dump-taint", "--strict"]) == 1
+                 "--dump-callgraph", "--dump-taint"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert "callgraph" in payload and "taint" in payload
     assert "dirty.f" in payload["callgraph"]["functions"]

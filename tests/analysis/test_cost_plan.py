@@ -10,6 +10,7 @@ in ``tests/property/test_plan_invariance.py``.
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -22,10 +23,14 @@ from repro.analysis import (
     plan_for_config,
     vehicle_costs,
 )
+from repro.fleet import run_inline, run_single_process
 from repro.fleet.config import FleetConfig, PartitionPlan
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SRC_REPRO = os.path.join(REPO_ROOT, "src", "repro")
+
+#: Least critical-partition cut a skewed plan must buy over round-robin.
+PLAN_SPEEDUP_FLOOR = 1.2
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +150,26 @@ class TestPlanEmission:
             plan.shards_for(FleetConfig(vehicles=8, partitions=2, workload="skewed"))
         with pytest.raises(ValueError):
             plan.shards_for(FleetConfig(vehicles=8, partitions=4))
+
+    def test_skewed_plan_cuts_the_critical_partition(self, graph):
+        """Round-robin lands both heavy vehicles on partition 0; the plan
+        must cut the busiest partition's event count (the per-round
+        critical path) by the floor, without changing any trace."""
+        config = FleetConfig(
+            seed=17, vehicles=8, partitions=4, duration_s=30.0,
+            workload="skewed",
+        )
+        reference = run_single_process(config)
+        round_robin = run_inline(config)
+        plan = plan_for_config(config, graph=graph)
+        planned = run_inline(replace(config, plan=plan.shards_for(config)))
+        assert round_robin.vehicle_hashes == reference.vehicle_hashes
+        assert planned.vehicle_hashes == reference.vehicle_hashes, (
+            "the plan changed traces"
+        )
+        gain = (round_robin.stats.critical_events()
+                / planned.stats.critical_events())
+        assert gain >= PLAN_SPEEDUP_FLOOR, (
+            f"planned shards cut the critical partition only {gain:.2f}x "
+            f"(floor {PLAN_SPEEDUP_FLOOR}x); plan: {plan.shards}"
+        )

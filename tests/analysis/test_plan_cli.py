@@ -63,7 +63,6 @@ class TestPlanRuns:
             [
                 CLEAN_DIR,
                 "--plan",
-                "--strict",
                 "--format",
                 "json",
                 "--plan-fleet",
@@ -88,7 +87,7 @@ class TestPlanRuns:
 
     def test_zero_latency_seed_fails_strict(self, capsys):
         code, out = run_cli(
-            [ZERO_DIR, "--plan", "--strict", "--format", "json"], capsys
+            [ZERO_DIR, "--plan", "--format", "json"], capsys
         )
         assert code == 1
         payload = json.loads(out)
@@ -96,7 +95,7 @@ class TestPlanRuns:
 
     def test_select_narrows_fleet_findings(self, capsys):
         code, out = run_cli(
-            [ZERO_DIR, "--plan", "--strict", "--select", "FLEET003",
+            [ZERO_DIR, "--plan", "--select", "FLEET003",
              "--format", "json"], capsys
         )
         assert code == 0
@@ -108,7 +107,6 @@ class TestPlanCache:
         argv = [
             CLEAN_DIR,
             "--plan",
-            "--strict",
             "--format",
             "json",
             "--dump-plan",

@@ -2,7 +2,8 @@
 
 Runs ``--scenarios`` over temp scenario files and the shipped corpus,
 asserting output is byte-deterministic across cold and warm
-incremental-cache runs.
+incremental-cache runs, and that scenario entries share the one cache
+manifest with the Python entries.
 """
 
 import json
@@ -10,12 +11,9 @@ import os
 
 import pytest
 
-from repro.analysis import main
-from repro.analysis.scenario import (
-    ScenarioAnalyzer,
-    ScenarioCache,
-    discover_scenario_files,
-)
+from repro.analysis import IncrementalAnalyzer, main
+from repro.analysis import scenario as scenario_module
+from repro.analysis.scenario import discover_scenario_files, scenario_rules
 
 SHIPPED = os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir, "scenarios"
@@ -87,7 +85,7 @@ class TestFindings:
         path = tmp_path / "bad.yaml"
         path.write_text(BAD_DOC, encoding="utf-8")
         code, out = run_cli(
-            [str(tmp_path), "--scenarios", "--strict"], capsys
+            [str(tmp_path), "--scenarios"], capsys
         )
         assert code == 1
         assert "bad.yaml:4" in out and "SCN001" in out
@@ -97,7 +95,7 @@ class TestFindings:
         path = tmp_path / "broken.yaml"
         path.write_text("fleet:\n\tvehicles: 4\n", encoding="utf-8")
         code, out = run_cli(
-            [str(tmp_path), "--scenarios", "--strict"], capsys
+            [str(tmp_path), "--scenarios"], capsys
         )
         assert code == 1
         assert "E999" in out
@@ -107,24 +105,24 @@ class TestFindings:
     ):
         (tmp_path / "ok.yaml").write_text(CLEAN_DOC, encoding="utf-8")
         code, out = run_cli(
-            [str(tmp_path), "--scenarios", "--strict"], capsys
+            [str(tmp_path), "--scenarios"], capsys
         )
         assert code == 0
         assert "1 file" in out
 
     def test_without_the_flag_scenarios_are_ignored(self, tmp_path, capsys):
         (tmp_path / "bad.yaml").write_text(BAD_DOC, encoding="utf-8")
-        code, _ = run_cli([str(tmp_path), "--strict"], capsys)
+        code, _ = run_cli([str(tmp_path)], capsys)
         assert code == 0
 
     def test_shipped_scenarios_are_strict_clean(self, capsys):
-        code, _ = run_cli([SHIPPED, "--scenarios", "--strict"], capsys)
+        code, _ = run_cli([SHIPPED, "--scenarios"], capsys)
         assert code == 0
 
     def test_json_report_carries_scenario_findings(self, tmp_path, capsys):
         (tmp_path / "bad.yaml").write_text(BAD_DOC, encoding="utf-8")
         code, out = run_cli(
-            [str(tmp_path), "--scenarios", "--strict", "--format", "json"],
+            [str(tmp_path), "--scenarios", "--format", "json"],
             capsys,
         )
         assert code == 1
@@ -133,33 +131,92 @@ class TestFindings:
         assert {"SCN001", "SCN002"} <= rules
 
 
+def scenario_analyzer(cache_dir):
+    return IncrementalAnalyzer(
+        [], {}, str(cache_dir), scenario_rules=scenario_rules()
+    )
+
+
 class TestCache:
     def test_warm_run_replays_byte_identically(self, tmp_path, capsys):
-        scen_dir = tmp_path / "scen"
-        scen_dir.mkdir()
-        (scen_dir / "bad.yaml").write_text(BAD_DOC, encoding="utf-8")
-        (scen_dir / "ok.yaml").write_text(CLEAN_DOC, encoding="utf-8")
-        cache_dir = str(tmp_path / "cache")
+        proj = tmp_path / "proj"
+        proj.mkdir()
+        (proj / "bad.yaml").write_text(BAD_DOC, encoding="utf-8")
+        (proj / "ok.yaml").write_text(CLEAN_DOC, encoding="utf-8")
+        (proj / "mod.py").write_text("x = 1\n", encoding="utf-8")
+        cache_dir = tmp_path / "cache"
         argv = [
-            str(scen_dir), "--scenarios", "--strict",
-            "--cache", "--cache-dir", cache_dir,
+            str(proj), "--scenarios", "--cache", "--cache-dir", str(cache_dir),
         ]
-        cold_code, cold_out = run_cli(argv, capsys)
-        warm_code, warm_out = run_cli(argv, capsys)
-        assert (cold_code, cold_out) == (warm_code, warm_out)
-        assert os.path.exists(os.path.join(cache_dir, "scenarios.json"))
+        cold_code = main(argv)
+        cold = capsys.readouterr()
+        warm_code = main(argv)
+        warm = capsys.readouterr()
+        assert (cold_code, cold.out) == (warm_code, warm.out) == (1, cold.out)
+        # One stats line covers both kinds of entry in the one manifest.
+        assert cold.err == "vdaplint: cache: 3 analyzed, 0 replayed\n"
+        assert warm.err == "vdaplint: cache: 0 analyzed, 3 replayed\n"
+        assert sorted(os.listdir(cache_dir)) == ["manifest.json"]
+        # A Python-only run that rewrites the manifest keeps the
+        # scenario entries warm.
+        (proj / "mod.py").write_text("x = 2\n", encoding="utf-8")
+        assert main(argv[:1] + argv[2:]) == 1  # mod.py lacks __all__
+        assert capsys.readouterr().err == (
+            "vdaplint: cache: 1 analyzed, 0 replayed\n"
+        )
+        with open(cache_dir / "manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        assert sorted(manifest["files"]) == [str(proj / "mod.py")]
+        assert sorted(manifest["scenarios"]) == [
+            str(proj / "bad.yaml"), str(proj / "ok.yaml"),
+        ]
 
     def test_cache_replays_then_reanalyzes_edits(self, tmp_path):
         path = tmp_path / "doc.yaml"
         path.write_text(BAD_DOC, encoding="utf-8")
-        cache = ScenarioCache(str(tmp_path / "cache"), ["SCN001", "SCN002"])
-        analyzer = ScenarioAnalyzer()
-        cold = cache.run([str(path)], analyzer)
+        cache_dir = tmp_path / "cache"
+        cold = scenario_analyzer(cache_dir).run([], [str(path)])
         assert cold.analyzed == [str(path)] and cold.replayed == []
-        warm = cache.run([str(path)], analyzer)
+        warm = scenario_analyzer(cache_dir).run([], [str(path)])
         assert warm.analyzed == [] and warm.replayed == [str(path)]
         assert warm.findings == cold.findings
+        assert {f.rule for f in cold.findings} == {"SCN001", "SCN002"}
         path.write_text(CLEAN_DOC, encoding="utf-8")
-        edited = cache.run([str(path)], analyzer)
+        edited = scenario_analyzer(cache_dir).run([], [str(path)])
         assert edited.analyzed == [str(path)]
         assert edited.findings == []
+
+    def test_package_edit_reanalyzes_every_scenario_entry(
+        self, tmp_path, monkeypatch
+    ):
+        """SCN004/005 consult the package tree, so a source edit there
+        re-analyzes every cached scenario; a scenario edit only itself."""
+        package = tmp_path / "pkg"
+        package.mkdir()
+        module = package / "mod.py"
+        module.write_text("LATENCY_S = 1.0\n", encoding="utf-8")
+        monkeypatch.setattr(scenario_module, "_PACKAGE_ROOT", str(package))
+        first, second = tmp_path / "a.yaml", tmp_path / "b.yaml"
+        for path in (first, second):
+            path.write_text(CLEAN_DOC, encoding="utf-8")
+        files = [str(module)]
+        scenarios = [str(first), str(second)]
+        cache_dir = tmp_path / "cache"
+
+        def run():
+            return scenario_analyzer(cache_dir).run(files, scenarios)
+
+        cold = run()
+        assert cold.analyzed == sorted(files + scenarios)
+        assert run().analyzed == []
+
+        module.write_text("LATENCY_S = 2.0\n", encoding="utf-8")
+        assert run().analyzed == sorted(files + scenarios)
+        assert run().analyzed == []
+
+        second.write_text(CLEAN_DOC + "# edited\n", encoding="utf-8")
+        edited = run()
+        assert edited.analyzed == [str(second)]
+        assert edited.replayed == sorted(files + [str(first)])
+        assert edited.findings == cold.findings == []
+        assert run().analyzed == []

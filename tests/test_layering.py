@@ -4,12 +4,14 @@ Dependencies point one way.  ``repro.analysis`` may import the runtime
 (the planner builds ``FleetConfig``s, the scenario tier compiles
 scenario documents), but no module outside it may import
 ``repro.analysis`` -- not at module level and not lazily inside a
-function.  ``repro/__init__.py`` is exempt: it is the package index that
-re-exports every subpackage.
+function.  That includes the package index ``repro/__init__.py``:
+``import repro`` loads no linter module.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import repro
 from repro.analysis import discover_files
@@ -56,10 +58,9 @@ def imports_linter(modules: set[str]) -> list[str]:
 
 def runtime_files() -> list[str]:
     linter_dir = os.path.join(SRC_REPRO, "analysis") + os.sep
-    package_index = os.path.join(SRC_REPRO, "__init__.py")
     return [
         path for path in discover_files([SRC_REPRO])
-        if not path.startswith(linter_dir) and path != package_index
+        if not path.startswith(linter_dir)
     ]
 
 
@@ -89,3 +90,23 @@ def test_runtime_packages_never_import_the_linter():
     assert not offenders, (
         "runtime modules import the linter:\n" + "\n".join(offenders)
     )
+
+
+def test_importing_repro_loads_no_linter_module():
+    """Checked in a fresh interpreter: this test process already holds
+    ``repro.analysis`` (imported above)."""
+    probe = (
+        "import sys, repro\n"
+        "print(sorted(m for m in sys.modules\n"
+        f"             if m == {LINTER!r} or m.startswith({LINTER + '.'!r})))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(SRC_REPRO)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    assert out.strip() == "[]"
