@@ -92,7 +92,6 @@ from .engine import (
     Rule,
     SKIP_MARKER,
     discover_files,
-    lint_paths,
     lint_source,
 )
 from .mp import MP_RULE_CLASSES, MpAnalyzer, mp_rules, mp_rules_by_id
@@ -181,7 +180,6 @@ __all__ = [
     "flow_rules_by_id",
     "infer_module_name",
     "is_latency_name",
-    "lint_paths",
     "lint_source",
     "main",
     "mp_rules",

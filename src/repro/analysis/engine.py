@@ -33,7 +33,6 @@ __all__ = [
     "SKIP_MARKER",
     "discover_files",
     "lint_source",
-    "lint_paths",
 ]
 
 #: Matches both line pragmas and file pragmas; group 1 is the scope
@@ -299,13 +298,6 @@ class LintEngine:
             ]
         return self.lint_source(source, path=path)
 
-    def lint_paths(self, paths: Iterable[str]) -> list[Finding]:
-        """Lint every python file under ``paths`` (files or directories)."""
-        findings: list[Finding] = []
-        for path in discover_files(paths):
-            findings.extend(self.lint_file(path))
-        return sorted(findings)
-
     def _walk(self, node: ast.AST, ctx: FileContext) -> None:
         for handler in self._dispatch.get(type(node), ()):  # single dispatch point
             handler(node, ctx)
@@ -353,11 +345,3 @@ def lint_source(source: str, path: str = "<string>",
     return LintEngine(rules if rules is not None else default_rules()).lint_source(
         source, path=path
     )
-
-
-def lint_paths(paths: Iterable[str],
-               rules: Optional[Sequence[Rule]] = None) -> list[Finding]:
-    """Convenience wrapper: lint files/directories with ``rules`` (default pack)."""
-    from .rules import default_rules
-
-    return LintEngine(rules if rules is not None else default_rules()).lint_paths(paths)

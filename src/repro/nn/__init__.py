@@ -1,8 +1,9 @@
-"""Neural-network substrate: layers, training, compression, transfer, zoo."""
+"""Neural-network substrate: layers, training, compression, transfer, zoo, window scan."""
 
 from .compress import CompressionReport, deep_compress, kmeans_1d, measure, prune, quantize
 from .layers import Conv2D, Dense, Dropout, Flatten, Layer, MaxPool2D, ReLU
 from .network import Sequential, cross_entropy, softmax
+from .scan import can_scan, scan_proba
 from .train import SGD, Adam, TrainResult, train_classifier
 from .transfer import freeze_masks, transfer_learn
 from .zoo import (
@@ -37,6 +38,7 @@ __all__ = [
     "TINY_FACE",
     "TrainResult",
     "YOLO_V2",
+    "can_scan",
     "cross_entropy",
     "deep_compress",
     "freeze_masks",
@@ -46,6 +48,7 @@ __all__ = [
     "measure",
     "prune",
     "quantize",
+    "scan_proba",
     "softmax",
     "train_classifier",
     "transfer_learn",

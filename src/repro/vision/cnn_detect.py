@@ -14,6 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..nn.network import Sequential
+from ..nn.scan import can_scan, scan_proba
 from ..nn.train import SGD, train_classifier
 from ..nn.zoo import make_tiny_cnn
 from .haar import Detection
@@ -57,11 +58,16 @@ class CnnDetector:
     ) -> tuple[list[Detection], int]:
         """Sliding-window detection; returns (detections, flop count).
 
-        All windows of one pyramid scale run through the classifier as a
-        single batched forward pass, and the FLOP ledger is folded in once
-        per scale -- the same windows, in the same order, as the former
-        one-window-per-forward loop (batching the matmuls can move
-        per-window probabilities by float ulps, nothing more).
+        Windows go row-major (y, then x) within each pyramid scale, and the
+        FLOP ledger counts every window at ``flops_per_sample``.  A scale
+        whose windows tile a resampled image at the plain stride (``step *
+        patch == stride * size``: the window's nearest-neighbour index
+        ``k * size // patch`` is then the whole image's) is scored by
+        :func:`~repro.nn.scan.scan_proba`, which shares the convolutions
+        of overlapping windows.  Other scales, and networks the scan does
+        not handle, run every window through one batched
+        ``predict_proba``.  Both give ``predict_proba`` of the same window
+        batch.
         """
         detections: list[Detection] = []
         flops_per_window = self.network.flops_per_sample()
@@ -69,22 +75,29 @@ class CnnDetector:
         size = self.patch_size
         h, w = img.shape
         windows_done = 0
+        shared = can_scan(self.network, stride)
         while size <= min(h, w):
             scale = size / self.patch_size
             step = max(1, int(stride * scale))
-            # Row-major (y, then x) windows as one strided view; other
-            # scales resize every window with one nearest-neighbour gather.
-            windows = sliding_window_view(img, (size, size))[::step, ::step]
-            ny, nx = windows.shape[:2]
-            if scale != 1.0:
-                near = (np.arange(self.patch_size) * size // self.patch_size).clip(0, size - 1)
-                windows = windows[:, :, near[:, None], near[None, :]]
+            ny, nx = (h - size) // step + 1, (w - size) // step + 1
             count = ny * nx
             if max_windows is not None:
                 count = min(count, max_windows - windows_done)
             if count > 0:
-                batch = windows.reshape(ny * nx, 1, self.patch_size, self.patch_size)[:count]
-                probs = self.network.predict_proba(batch)
+                if shared and step * self.patch_size == stride * size:
+                    near_y = np.arange((ny - 1) * stride + self.patch_size) * size // self.patch_size
+                    near_x = np.arange((nx - 1) * stride + self.patch_size) * size // self.patch_size
+                    resampled = img[near_y[:, None], near_x]
+                    probs = scan_proba(self.network, resampled[None], stride, count)
+                else:
+                    # One strided view; other scales resize every window
+                    # with one nearest-neighbour gather.
+                    windows = sliding_window_view(img, (size, size))[::step, ::step]
+                    if scale != 1.0:
+                        near = np.arange(self.patch_size) * size // self.patch_size
+                        windows = windows[:, :, near[:, None], near[None, :]]
+                    batch = windows.reshape(ny * nx, 1, self.patch_size, self.patch_size)
+                    probs = self.network.predict_proba(batch[:count])
                 total_flops += flops_per_window * count
                 windows_done += count
                 for k in np.flatnonzero(probs[:, 1] > 0.5).tolist():

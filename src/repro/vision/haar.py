@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,9 +156,13 @@ class WeakClassifier:
         return raw if self.polarity > 0 else ~raw if isinstance(raw, np.ndarray) else not raw
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One detected object window."""
+class Detection(NamedTuple):
+    """One detected object window.
+
+    A named tuple rather than a dataclass: a Haar scan of one 320x240
+    frame builds some 60k of them before NMS, and a tuple is built in
+    about half the time.
+    """
 
     x: int
     y: int
@@ -263,8 +269,9 @@ class HaarDetector:
             scores = self.score_grid(ii, xs0, ys0, size)
             ops += scores.size * feature_ops
             rows, cols = np.nonzero(scores >= accept)  # row-major: y, then x
-            for x, y, s in zip(xs0[cols].tolist(), ys0[rows].tolist(), scores[rows, cols].tolist()):
-                detections.append(Detection(x, y, size, s))
+            hits = zip(xs0[cols].tolist(), ys0[rows].tolist(), repeat(size),
+                       scores[rows, cols].tolist())
+            detections.extend(map(Detection._make, hits))
             size = int(round(size * scale_factor))
         return detections, ops
 

@@ -15,7 +15,7 @@ from repro.analysis import (
     FleetPlanAnalyzer,
     IncrementalAnalyzer,
     build_graph,
-    lint_paths,
+    default_rules,
     main,
     semantic_rules_by_id,
 )
@@ -27,7 +27,8 @@ def repro_source_root() -> str:
 
 
 def test_vdaplint_reports_zero_violations_on_src_repro():
-    findings = lint_paths([repro_source_root()])
+    files = discover_files([repro_source_root()])
+    findings = IncrementalAnalyzer(default_rules(), {}, cache_dir=None).run(files).findings
     rendered = "\n".join(f"{f.location()}: {f.rule} {f.message}" for f in findings)
     assert not findings, f"vdaplint found violations in src/repro:\n{rendered}"
 
